@@ -7,6 +7,8 @@ integer microseconds, which survive the 6-decimal CSV round trip).
 
 import csv
 from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
 
 from .engine import US_PER_S
 
@@ -93,28 +95,16 @@ def compute_avg_delay(trace):
     return sum(delays) / len(delays) / US_PER_S
 
 
+@dataclass(slots=True)
 class MetricsRecord:
     """Scenario-level result row."""
 
-    __slots__ = ("throughput", "pdr", "avg_e2e_delay", "control_bytes",
-                 "packets_sent", "packets_received")
-
-    def __init__(self, throughput, pdr, avg_e2e_delay, control_bytes,
-                 packets_sent, packets_received):
-        self.throughput = throughput
-        self.pdr = pdr
-        self.avg_e2e_delay = avg_e2e_delay
-        self.control_bytes = control_bytes
-        self.packets_sent = packets_sent
-        self.packets_received = packets_received
-
-    def __eq__(self, other):
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        return (f"MetricsRecord(throughput={self.throughput!r}, pdr={self.pdr!r}, "
-                f"avg_e2e_delay={self.avg_e2e_delay!r}, control_bytes={self.control_bytes!r}, "
-                f"packets_sent={self.packets_sent}, packets_received={self.packets_received})")
+    throughput: float
+    pdr: float
+    avg_e2e_delay: Optional[float]
+    control_bytes: int
+    packets_sent: int
+    packets_received: int
 
 
 def summarize(trace):

@@ -141,9 +141,17 @@ class FixedPositions:
         self._pos = [tuple(p) for p in positions]
         self.node_count = len(self._pos)
         self.static = True
+        self._xy = self._arrays()
+
+    def _arrays(self):
+        # Rebuilt, not updated in place: int positions would give an int
+        # array that truncates a later float move().
+        return (np.array([p[0] for p in self._pos]),
+                np.array([p[1] for p in self._pos]))
 
     def move(self, node, xy):
         self._pos[node] = tuple(xy)
+        self._xy = self._arrays()
 
     def position(self, node, t_us):
         return self._pos[node]
@@ -152,8 +160,7 @@ class FixedPositions:
         return self._pos
 
     def positions_xy(self, t_us):
-        return (np.array([p[0] for p in self._pos]),
-                np.array([p[1] for p in self._pos]))
+        return self._xy
 
 
 def write_movement_trace(path, mobility, end_us, interval_us):

@@ -6,14 +6,9 @@ sequence number is at least as fresh as the one the request asks for,
 and travel back along the reverse path the request installed.
 """
 
-from collections import deque
-
-from .base import MAX_HOPS, DataPacket, RoutingProtocol
+from .base import DATA, DataPacket, ReactiveProtocol
 
 ACTIVE_ROUTE_TIMEOUT_US = 10_000_000
-DISCOVERY_TIMEOUT_US = 1_000_000
-RREQ_RETRIES = 2                    # retries after the initial attempt
-BUFFER_CAPACITY = 64                # per-destination; overflow drops oldest
 
 RREQ_BYTES = 24
 RREP_BYTES = 20
@@ -23,7 +18,6 @@ RERR_PER_DEST_BYTES = 8
 RREQ = "aodv-rreq"
 RREP = "aodv-rrep"
 RERR = "aodv-rerr"
-DATA = "data"
 
 UNKNOWN = None  # dest_seq_known sentinel, treated as lower than any number
 
@@ -70,7 +64,7 @@ class Rrep:
         self.origin = origin
 
 
-class AodvRouter(RoutingProtocol):
+class AodvRouter(ReactiveProtocol):
     name = "aodv"
 
     def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
@@ -78,8 +72,6 @@ class AodvRouter(RoutingProtocol):
         self.own_seq = 0
         self.rreq_id = 0
         self.table = {}          # dest -> AodvEntry
-        self.buffers = {}        # dest -> deque of DataPacket
-        self.pending = {}        # dest -> [attempts_done, timer_handle]
         self.seen_rreqs = set()  # (origin, rreq_id)
 
     # -- table maintenance --------------------------------------------
@@ -122,6 +114,9 @@ class AodvRouter(RoutingProtocol):
         entry.expires_at = self.sim.now + ACTIVE_ROUTE_TIMEOUT_US
         return entry.next_hop
 
+    def has_route(self, dest):
+        return self.route_lookup(dest) is not None
+
     # -- discovery ----------------------------------------------------
 
     def originate_rreq(self, dest):
@@ -133,35 +128,6 @@ class AodvRouter(RoutingProtocol):
         self.seen_rreqs.add((self.node_id, self.rreq_id))
         self.radio.broadcast(self.node_id, self._frame(-1, RREQ_BYTES, RREQ, rreq))
         return rreq
-
-    def _start_discovery(self, dest):
-        if dest in self.pending:
-            return
-        self.originate_rreq(dest)
-        timer = self.sim.after(DISCOVERY_TIMEOUT_US,
-                               lambda: self._discovery_timeout(dest),
-                               target=self.node_id)
-        self.pending[dest] = [0, timer]
-
-    def _discovery_timeout(self, dest):
-        state = self.pending.get(dest)
-        if state is None:
-            return
-        if self.route_lookup(dest) is not None:
-            del self.pending[dest]
-            return
-        if state[0] < RREQ_RETRIES:
-            state[0] += 1
-            self.originate_rreq(dest)
-            state[1] = self.sim.after(DISCOVERY_TIMEOUT_US,
-                                      lambda: self._discovery_timeout(dest),
-                                      target=self.node_id)
-        else:
-            del self.pending[dest]
-            buffered = self.buffers.pop(dest, None)
-            if buffered:
-                for _ in buffered:
-                    self.drop("no_route_ever")
 
     def handle_rreq(self, rreq, prev_hop):
         key = (rreq.origin, rreq.rreq_id)
@@ -195,9 +161,7 @@ class AodvRouter(RoutingProtocol):
         installed = self._install(rrep.dest, prev_hop, rrep.hop_count + 1,
                                   rrep.dest_seq)
         if rrep.origin == self.node_id:
-            state = self.pending.pop(rrep.dest, None)
-            if state is not None:
-                self.sim.cancel(state[1])
+            self._stop_discovery(rrep.dest)
             self._flush_buffer(rrep.dest)
             return
         if not installed:
@@ -215,12 +179,10 @@ class AodvRouter(RoutingProtocol):
         buffered = self.buffers.get(dest)
         if not buffered:
             return
-        if self.route_lookup(dest) is None:
+        if not self.has_route(dest):
             return
         del self.buffers[dest]
-        state = self.pending.pop(dest, None)
-        if state is not None:
-            self.sim.cancel(state[1])
+        self._stop_discovery(dest)
         for data in buffered:
             self._forward(data)
 
@@ -265,38 +227,16 @@ class AodvRouter(RoutingProtocol):
 
     def send_app_packet(self, pkt):
         data = DataPacket(pkt)
-        if self.route_lookup(pkt.dst) is not None:
+        if self.has_route(pkt.dst):
             self._forward(data)
         else:
             self._buffer(pkt.dst, data)
             self._start_discovery(pkt.dst)
 
-    def _buffer(self, dest, data):
-        buf = self.buffers.setdefault(dest, deque())
-        if len(buf) >= BUFFER_CAPACITY:
-            buf.popleft()
-            self.drop("buffer_overflow")
-        buf.append(data)
-
-    def _forward(self, data):
-        next_hop = self.route_lookup(data.app.dst)
-        if next_hop is None:
-            self.drop("no_route")
-            return
-        self.radio.unicast(self.node_id, next_hop,
-                           self._frame(next_hop, data.app.size, DATA, data))
-
     def handle_frame(self, frame):
         kind = frame.kind
         if kind == DATA:
-            data = frame.payload
-            data.hops += 1
-            if data.app.dst == self.node_id:
-                self.deliver(data)
-            elif data.hops >= MAX_HOPS:
-                self.drop("hop_limit")
-            else:
-                self._forward(data)
+            self._receive_data(frame.payload)
         elif kind == RREQ:
             self.handle_rreq(frame.payload, frame.src)
         elif kind == RREP:

@@ -1,10 +1,21 @@
-"""Shared plumbing for the three routing protocols."""
+"""Shared plumbing for the three routing protocols: hop-by-hop forwarding
+for the distance-vector protocols and the on-demand discovery policy of the
+reactive ones."""
+
+from collections import deque
 
 from ..radio import Frame
 
 # Safety valve against transient forwarding loops in the distance-vector
 # protocols; DSR routes are loop-free by construction.
 MAX_HOPS = 32
+
+# On-demand discovery: AODV and DSR share one retry policy for comparability.
+DISCOVERY_TIMEOUT_US = 1_000_000
+RREQ_RETRIES = 2                    # retries after the initial attempt
+BUFFER_CAPACITY = 64                # per-destination; overflow drops oldest
+
+DATA = "data"
 
 
 class DataPacket:
@@ -73,3 +84,85 @@ class RoutingProtocol:
                 fn()
             else:
                 self.sim.after(delay, fn, target=self.node_id)
+
+    # -- hop-by-hop forwarding (DSDV, AODV) ---------------------------
+
+    def _forward(self, data):
+        """Unicast data to the next hop that ``route_lookup`` names."""
+        next_hop = self.route_lookup(data.app.dst)
+        if next_hop is None:
+            self.drop("no_route")
+            return
+        self.radio.unicast(self.node_id, next_hop,
+                           self._frame(next_hop, data.app.size, DATA, data))
+
+    def _receive_data(self, data):
+        data.hops += 1
+        if data.app.dst == self.node_id:
+            self.deliver(data)
+        elif data.hops >= MAX_HOPS:
+            self.drop("hop_limit")
+        else:
+            self._forward(data)
+
+
+class ReactiveProtocol(RoutingProtocol):
+    """On-demand route discovery shared by AODV and DSR.
+
+    Packets for a destination without a route wait in a bounded buffer
+    while a route request floods; an unanswered request is repeated every
+    DISCOVERY_TIMEOUT_US, up to RREQ_RETRIES times, and then the buffered
+    packets are dropped.  Subclasses supply ``has_route(dest)`` and
+    ``originate_rreq(dest)``.
+    """
+
+    def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
+        super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
+        self.buffers = {}        # dest -> deque of DataPacket
+        self.pending = {}        # dest -> [attempts_done, timer_handle]
+
+    def has_route(self, dest):
+        raise NotImplementedError
+
+    def originate_rreq(self, dest):
+        raise NotImplementedError
+
+    def _buffer(self, dest, data):
+        buf = self.buffers.setdefault(dest, deque())
+        if len(buf) >= BUFFER_CAPACITY:
+            buf.popleft()
+            self.drop("buffer_overflow")
+        buf.append(data)
+
+    def _start_discovery(self, dest):
+        if dest in self.pending:
+            return
+        self.originate_rreq(dest)
+        timer = self.sim.after(DISCOVERY_TIMEOUT_US,
+                               lambda: self._discovery_timeout(dest),
+                               target=self.node_id)
+        self.pending[dest] = [0, timer]
+
+    def _discovery_timeout(self, dest):
+        state = self.pending.get(dest)
+        if state is None:
+            return
+        if self.has_route(dest):
+            del self.pending[dest]
+            return
+        if state[0] < RREQ_RETRIES:
+            state[0] += 1
+            self.originate_rreq(dest)
+            state[1] = self.sim.after(DISCOVERY_TIMEOUT_US,
+                                      lambda: self._discovery_timeout(dest),
+                                      target=self.node_id)
+        else:
+            del self.pending[dest]
+            for _ in self.buffers.pop(dest, ()):
+                self.drop("no_route_ever")
+
+    def _stop_discovery(self, dest):
+        """A route arrived: forget the discovery and cancel its timer."""
+        state = self.pending.pop(dest, None)
+        if state is not None:
+            self.sim.cancel(state[1])

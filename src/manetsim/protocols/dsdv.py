@@ -7,7 +7,7 @@ smaller hop count; otherwise the advertisement is ignored.  Broken links
 invalidate routes by making their sequence number odd.
 """
 
-from .base import MAX_HOPS, DataPacket, RoutingProtocol
+from .base import DATA, DataPacket, RoutingProtocol
 
 ADVERTISE_INTERVAL_US = 15_000_000
 ADVERTISE_JITTER = 0.2              # +-20% around the nominal interval
@@ -27,7 +27,6 @@ UPDATE_HEADER_BYTES = 20
 UPDATE_ENTRY_BYTES = 12
 
 UPDATE = "dsdv-update"
-DATA = "data"
 
 
 class DsdvEntry:
@@ -109,46 +108,24 @@ class DsdvRouter(RoutingProtocol):
         newer sequence number always wins; an equally fresh route wins only
         with a strictly smaller hop count.
         """
-        if dest == self.node_id:
-            return False  # own entry is never overwritten
-        hops = adv_hops + 1 if adv_hops < INFINITY else INFINITY
-        now = self.sim.now
         cur = self.table.get(dest)
-        if cur is None:
-            self.table[dest] = DsdvEntry(dest, origin, hops, adv_seq, now)
-            return True
-        if adv_seq > cur.seq:
-            was_valid = cur.valid
-            prev_next, prev_hops = cur.next_hop, cur.hops
-            cur.next_hop = origin
-            cur.hops = hops
-            cur.seq = adv_seq
-            cur.install_us = now
-            if was_valid and cur.valid and hops > prev_hops and origin != prev_next:
-                self._settling[dest] = (prev_next, prev_hops, now + SETTLE_US)
-            else:
-                self._note_settled(dest, hops)
-            return True
-        if adv_seq == cur.seq and hops < cur.hops:
-            cur.next_hop = origin
-            cur.hops = hops
-            cur.install_us = now
-            self._note_settled(dest, hops)
-            return True
-        return False
-
-    def _note_settled(self, dest, hops):
-        sh = self._settling.get(dest)
-        if sh is not None and hops <= sh[1]:
-            del self._settling[dest]
+        before = None if cur is None else (cur.seq, cur.hops)
+        self._merge(origin, ((dest, adv_seq, adv_hops),))
+        cur = self.table.get(dest)
+        return cur is not None and (cur.seq, cur.hops) != before
 
     def handle_update(self, msg):
-        """Apply a full-dump update message; returns changed destinations.
+        """Apply a full-dump update message; returns changed destinations."""
+        changed = self._merge(*msg)
+        if changed:
+            self._trigger_update()
+        return changed
 
-        Inlines apply_update_entry: a full dump touches every destination,
-        so this loop dominates DSDV's run time.
-        """
-        origin, entries = msg
+    def _merge(self, origin, entries):
+        """Apply the acceptance rule to each advertised (dest, seq, hops)
+        triple from neighbor origin; returns the destinations whose metric
+        or validity changed.  A full dump touches every destination, so
+        this loop dominates DSDV's run time."""
         changed = []
         table = self.table
         me = self.node_id
@@ -193,8 +170,6 @@ class DsdvRouter(RoutingProtocol):
                     if sh is not None and hops <= sh[1]:
                         del settling[dest]
                     changed.append(dest)
-        if changed:
-            self._trigger_update()
         return changed
 
     # -- link failure -------------------------------------------------
@@ -240,23 +215,8 @@ class DsdvRouter(RoutingProtocol):
     def send_app_packet(self, pkt):
         self._forward(DataPacket(pkt))
 
-    def _forward(self, data):
-        next_hop = self.route_lookup(data.app.dst)
-        if next_hop is None:
-            self.drop("no_route")
-            return
-        self.radio.unicast(self.node_id, next_hop,
-                           self._frame(next_hop, data.app.size, DATA, data))
-
     def handle_frame(self, frame):
         if frame.kind == UPDATE:
             self.handle_update(frame.payload)
         elif frame.kind == DATA:
-            data = frame.payload
-            data.hops += 1
-            if data.app.dst == self.node_id:
-                self.deliver(data)
-            elif data.hops >= MAX_HOPS:
-                self.drop("hop_limit")
-            else:
-                self._forward(data)
+            self._receive_data(frame.payload)

@@ -7,14 +7,9 @@ return path caches the path and its prefixes.  Route errors purge every
 cached path containing the broken link.
 """
 
-from collections import deque
-
-from .base import DataPacket, RoutingProtocol
+from .base import DATA, DataPacket, ReactiveProtocol
 
 CACHE_CAPACITY = 64              # paths per node, FIFO eviction, no expiry
-DISCOVERY_TIMEOUT_US = 1_000_000
-RREQ_RETRIES = 2                 # same retry policy as AODV for comparability
-BUFFER_CAPACITY = 64
 
 DATA_HEADER_BASE_BYTES = 16
 DATA_HEADER_PER_HOP_BYTES = 4
@@ -27,7 +22,6 @@ RERR_BYTES = 16
 RREQ = "dsr-rreq"
 RREP = "dsr-rrep"
 RERR = "dsr-rerr"
-DATA = "data"
 
 
 class MalformedRoute(Exception):
@@ -111,7 +105,7 @@ class _Rerr:
         self.return_path = return_path  # reporter back to source, inclusive
 
 
-class DsrRouter(RoutingProtocol):
+class DsrRouter(ReactiveProtocol):
     name = "dsr"
 
     def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
@@ -119,8 +113,6 @@ class DsrRouter(RoutingProtocol):
         self.cache = RouteCache()
         self.request_id = 0
         self.seen_rreqs = set()
-        self.buffers = {}   # dest -> deque of DataPacket
-        self.pending = {}   # dest -> [attempts_done, timer_handle]
 
     # -- sending ------------------------------------------------------
 
@@ -137,13 +129,6 @@ class DsrRouter(RoutingProtocol):
             self._buffer(dest, data)
             self._start_discovery(dest)
 
-    def _buffer(self, dest, data):
-        buf = self.buffers.setdefault(dest, deque())
-        if len(buf) >= BUFFER_CAPACITY:
-            buf.popleft()
-            self.drop("buffer_overflow")
-        buf.append(data)
-
     def _emit(self, data, route):
         data.route = route
         data.idx = 1
@@ -153,41 +138,15 @@ class DsrRouter(RoutingProtocol):
 
     # -- discovery ----------------------------------------------------
 
-    def _start_discovery(self, dest):
-        if dest in self.pending:
-            return
-        self._send_rreq(dest)
-        timer = self.sim.after(DISCOVERY_TIMEOUT_US,
-                               lambda: self._discovery_timeout(dest),
-                               target=self.node_id)
-        self.pending[dest] = [0, timer]
+    def has_route(self, dest):
+        return self.cache.find(self.node_id, dest) is not None
 
-    def _send_rreq(self, dest):
+    def originate_rreq(self, dest):
         self.request_id += 1
         rreq = _Rreq(self.node_id, self.request_id, dest, (self.node_id,))
         self.seen_rreqs.add((self.node_id, self.request_id))
         size = RREQ_BASE_BYTES + RREQ_PER_HOP_BYTES * len(rreq.record)
         self.radio.broadcast(self.node_id, self._frame(-1, size, RREQ, rreq))
-
-    def _discovery_timeout(self, dest):
-        state = self.pending.get(dest)
-        if state is None:
-            return
-        if self.cache.find(self.node_id, dest) is not None:
-            del self.pending[dest]
-            return
-        if state[0] < RREQ_RETRIES:
-            state[0] += 1
-            self._send_rreq(dest)
-            state[1] = self.sim.after(DISCOVERY_TIMEOUT_US,
-                                      lambda: self._discovery_timeout(dest),
-                                      target=self.node_id)
-        else:
-            del self.pending[dest]
-            buffered = self.buffers.pop(dest, None)
-            if buffered:
-                for _ in buffered:
-                    self.drop("no_route_ever")
 
     def handle_rreq(self, rreq):
         key = (rreq.origin, rreq.request_id)
@@ -234,9 +193,7 @@ class DsrRouter(RoutingProtocol):
     def _accept_rrep(self, path):
         self._cache_suffixes(path, 0)
         dest = path[-1]
-        state = self.pending.pop(dest, None)
-        if state is not None:
-            self.sim.cancel(state[1])
+        self._stop_discovery(dest)
         buffered = self.buffers.pop(dest, None)
         if buffered:
             route = self.cache.find(self.node_id, dest)
@@ -304,9 +261,7 @@ class DsrRouter(RoutingProtocol):
         route = self.cache.find(self.node_id, dest)
         if route is not None:
             del self.buffers[dest]
-            state = self.pending.pop(dest, None)
-            if state is not None:
-                self.sim.cancel(state[1])
+            self._stop_discovery(dest)
             for data in buffered:
                 self._emit(DataPacket(data.app), route)
         else:

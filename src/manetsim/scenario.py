@@ -73,6 +73,17 @@ class ScenarioConfig:
             errors.append(f"mac_mode must be one of {MAC_MODES}, got {self.mac_mode!r}")
         if self.radio_range <= 0 or self.bandwidth <= 0:
             errors.append("radio_range and bandwidth must be positive")
+        if self.drain < 0:
+            errors.append(f"drain must be >= 0, got {self.drain}")
+        if self.per_hop_latency < 0:
+            errors.append(f"per_hop_latency must be >= 0, got {self.per_hop_latency}")
+        if self.retry_limit < 0:
+            errors.append(f"retry_limit must be >= 0, got {self.retry_limit}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value) \
+                    and not (f.name == "pause_time" and value == STATIC):
+                errors.append(f"{f.name} must be finite, got {value}")
         return errors
 
     def check(self):

@@ -70,23 +70,13 @@ def run_sweep(spec, base, out_dir, trace_cells=False, progress=None):
         trace_path = os.path.join(out_dir, f"trace_{label}.csv") if trace_cells else None
         try:
             record, _trace = run_scenario(config, trace_path=trace_path)
-        except ConfigInvalid as exc:
-            failures.append((label, str(exc)))
+        except Exception as exc:    # one failing cell must not stop the grid
+            reason = f"{type(exc).__name__}: {exc}"
+            failures.append((label, reason))
             if progress:
-                progress(f"{label}: FAILED ({exc})")
+                progress(f"{label}: FAILED ({reason})")
             continue
-        rows.append({
-            "protocol": config.protocol,
-            "nodes": config.node_count,
-            "pause": config.pause_time,
-            "seed": config.seed,
-            "throughput": record.throughput,
-            "pdr": record.pdr,
-            "delay": record.avg_e2e_delay,
-            "control_bytes": record.control_bytes,
-            "packets_sent": record.packets_sent,
-            "packets_received": record.packets_received,
-        })
+        rows.append(result_row(config, record))
         if progress:
             progress(f"{label}: pdr={record.pdr:.2f}")
     rows.sort(key=lambda r: (r["protocol"], r["nodes"], r["pause"], r["seed"]))
@@ -95,6 +85,22 @@ def run_sweep(spec, base, out_dir, trace_cells=False, progress=None):
         write_metric_table(rows, spec, metric,
                            os.path.join(out_dir, f"{metric}.csv"))
     return rows, failures
+
+
+def result_row(config, record):
+    """The raw.csv row of one run."""
+    return {
+        "protocol": config.protocol,
+        "nodes": config.node_count,
+        "pause": config.pause_time,
+        "seed": config.seed,
+        "throughput": record.throughput,
+        "pdr": record.pdr,
+        "delay": record.avg_e2e_delay,
+        "control_bytes": record.control_bytes,
+        "packets_sent": record.packets_sent,
+        "packets_received": record.packets_received,
+    }
 
 
 def _fmt(value, metric):

@@ -19,10 +19,9 @@ import tempfile
 from pathlib import Path
 
 from manetsim.engine import RngStream
-from manetsim.metrics import write_trace_csv
 from manetsim.mobility import STATIC, FixedPositions, init_positions
 from manetsim.scenario import ScenarioConfig, run_scenario
-from manetsim.sweep import SweepSpec, run_sweep, write_raw_csv
+from manetsim.sweep import SweepSpec, result_row, run_sweep, write_raw_csv
 
 GOLDEN = Path(__file__).with_name("golden.json")
 BASE = ScenarioConfig(n_flows=5, sim_time=40.0, warmup=10.0, seed=1)
@@ -46,13 +45,7 @@ def _fixed_cells(out):
         record, _trace = run_scenario(
             config, trace_path=str(out / f"trace_fixed_{protocol}.csv"),
             mobility=FixedPositions(positions))
-        rows.append({"protocol": protocol, "nodes": config.node_count,
-                     "pause": config.pause_time, "seed": config.seed,
-                     "throughput": record.throughput, "pdr": record.pdr,
-                     "delay": record.avg_e2e_delay,
-                     "control_bytes": record.control_bytes,
-                     "packets_sent": record.packets_sent,
-                     "packets_received": record.packets_received})
+        rows.append(result_row(config, record))
     write_raw_csv(rows, out / "raw_fixed.csv")
 
 

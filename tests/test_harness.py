@@ -1,8 +1,12 @@
 """Scenario config, sweep outputs and the command-line interface."""
 
+import math
+
 import pytest
 
+import manetsim.sweep as sweep
 from manetsim.cli import load_config_file, main
+from manetsim.engine import SchedulingInPast
 from manetsim.metrics import read_trace_csv
 from manetsim.mobility import STATIC
 from manetsim.scenario import ConfigInvalid, ScenarioConfig, run_scenario
@@ -31,6 +35,14 @@ def test_validation_collects_all_errors():
 def test_warmup_must_precede_sim_end():
     assert ScenarioConfig(sim_time=10, warmup=10).validate()
     assert ScenarioConfig(sim_time=10, warmup=20).validate()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("per_hop_latency", -0.01), ("drain", -50.0), ("retry_limit", -1),
+    ("rate", math.nan), ("sim_time", math.inf), ("radio_range", math.inf),
+    ("area_width", math.nan), ("drain", math.nan)])
+def test_validation_rejects_negative_and_non_finite(name, value):
+    assert ScenarioConfig(**{name: value}).validate()
 
 
 def test_static_pause_is_accepted():
@@ -146,6 +158,23 @@ def test_sweep_records_per_cell_failures(tmp_path):
     base = ScenarioConfig(**FAST)   # n_flows=3 impossible with 4 nodes
     rows, failures = run_sweep(spec, base, str(tmp_path))
     assert rows == [] and len(failures) == 1
+
+
+def test_sweep_failing_cell_stops_only_itself(tmp_path, monkeypatch):
+    def run_or_raise(config, **kwargs):
+        if config.seed == FAST["seed"] + 1:
+            raise SchedulingInPast("event at -1 before now 0")
+        return run_scenario(config, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_scenario", run_or_raise)
+    spec = SweepSpec(protocols=["AODV"], node_counts=[12], pause_times=[STATIC],
+                     seeds_per_cell=3)
+    rows, failures = run_sweep(spec, ScenarioConfig(**FAST), str(tmp_path))
+    assert failures == [(f"AODV-n12-pstatic-s{FAST['seed'] + 1}",
+                         "SchedulingInPast: event at -1 before now 0")]
+    assert [r["seed"] for r in rows] == [FAST["seed"], FAST["seed"] + 2]
+    assert [r["seed"] for r in read_raw_csv(tmp_path / "raw.csv")] == \
+        [FAST["seed"], FAST["seed"] + 2]
 
 
 # -- CLI ----------------------------------------------------------------
