@@ -7,6 +7,8 @@ smaller hop count; otherwise the advertisement is ignored.  Broken links
 invalidate routes by making their sequence number odd.
 """
 
+import numpy as np
+
 from .base import DATA, DataPacket, RoutingProtocol
 
 ADVERTISE_INTERVAL_US = 15_000_000
@@ -27,6 +29,16 @@ UPDATE_HEADER_BYTES = 20
 UPDATE_ENTRY_BYTES = 12
 
 UPDATE = "dsdv-update"
+
+# A route's standing under the acceptance rule as one integer: a newer
+# sequence number always ranks higher, and at equal sequence numbers fewer
+# hops rank higher (hops <= INFINITY < RANK_SEQ).
+RANK_SEQ = 2 * INFINITY
+UNRANKED = np.iinfo(np.int64).min
+
+
+def _rank(seq, hops):
+    return seq * RANK_SEQ - hops
 
 
 class DsdvEntry:
@@ -52,6 +64,8 @@ class DsdvRouter(RoutingProtocol):
         self.own_seq = 0
         self.table = {node_id: DsdvEntry(node_id, node_id, 0, 0, 0)}
         self._settling = {}       # dest -> (prev_next_hop, prev_hops, deadline_us)
+        # dest -> _rank of the stored entry, UNRANKED where there is none
+        self._ranks = np.full(max(radio.node_count, node_id + 1), UNRANKED)
         self._last_dump_us = -TRIGGER_SPACING_US
         self._trigger_pending = False
 
@@ -74,6 +88,10 @@ class DsdvRouter(RoutingProtocol):
         self._dump()
 
     def _dump(self):
+        """Broadcast the table.  The message is (origin, entries, dests,
+        ranks): the (dest, seq, hops) triples, plus their destinations and
+        the _rank each would have once installed, as arrays that let every
+        receiver skip the entries it would ignore in one vector compare."""
         me = self.node_id
         entries = [(me, self.own_seq, 0)]
         entries.extend((e.dest, e.seq, e.hops)
@@ -81,7 +99,10 @@ class DsdvRouter(RoutingProtocol):
         size = UPDATE_HEADER_BYTES + UPDATE_ENTRY_BYTES * len(entries)
         self._last_dump_us = self.sim.now
         self._trigger_pending = False
-        self.radio.broadcast(self.node_id, self._frame(-1, size, UPDATE, (me, tuple(entries))))
+        dests, seqs, hops = np.array(entries, dtype=np.int64).T
+        ranks = _rank(seqs, np.where(hops < INFINITY, hops + 1, INFINITY))
+        msg = (me, tuple(entries), dests, ranks)
+        self.radio.broadcast(self.node_id, self._frame(-1, size, UPDATE, msg))
 
     def _trigger_update(self):
         """Broadcast a (rate-limited) triggered full dump."""
@@ -121,11 +142,26 @@ class DsdvRouter(RoutingProtocol):
             self._trigger_update()
         return changed
 
-    def _merge(self, origin, entries):
+    def _merge(self, origin, entries, dests=None, ranks=None):
         """Apply the acceptance rule to each advertised (dest, seq, hops)
         triple from neighbor origin; returns the destinations whose metric
-        or validity changed.  A full dump touches every destination, so
-        this loop dominates DSDV's run time."""
+        or validity changed.
+
+        A full dump touches every destination, so this loop dominates
+        DSDV's run time.  When the dump carries its destinations and ranks
+        (see _dump), the entries whose rank does not beat the stored one,
+        which the rule would ignore, are dropped before the loop.
+        """
+        if ranks is not None:
+            try:
+                stored = self._ranks[dests]
+            except IndexError:          # a destination beyond the array
+                self._grow_ranks(int(dests.max()))
+                stored = self._ranks[dests]
+            fresher = (ranks > stored).nonzero()[0].tolist()
+            if not fresher:
+                return []
+            entries = [entries[i] for i in fresher]
         changed = []
         table = self.table
         me = self.node_id
@@ -170,7 +206,26 @@ class DsdvRouter(RoutingProtocol):
                     if sh is not None and hops <= sh[1]:
                         del settling[dest]
                     changed.append(dest)
+        self._rerank(dest for dest, _seq, _hops in entries)
         return changed
+
+    def _grow_ranks(self, dest):
+        grown = np.full(2 * dest + 1, UNRANKED)
+        grown[:len(self._ranks)] = self._ranks
+        self._ranks = grown
+
+    def _rerank(self, dests):
+        """Bring _ranks up to date for dests after their entries changed."""
+        table = self.table
+        ranks = self._ranks
+        for dest in dests:
+            entry = table.get(dest)
+            if entry is None:
+                continue
+            if dest >= len(ranks):
+                self._grow_ranks(dest)
+                ranks = self._ranks
+            ranks[dest] = _rank(entry.seq, entry.hops)
 
     # -- link failure -------------------------------------------------
 
@@ -194,6 +249,7 @@ class DsdvRouter(RoutingProtocol):
         for dest, sh in list(self._settling.items()):
             if sh[0] == dead_neighbor:
                 del self._settling[dest]
+        self._rerank(out)
         return out
 
     # -- forwarding ---------------------------------------------------
