@@ -72,6 +72,14 @@ class RandomWaypoint:
         for i in range(node_count):
             self._new_leg(i, 0)
         self._next_transition = int(self._t1.min())
+        self._leg_deltas()
+
+    def _leg_deltas(self):
+        # Per-leg differences, kept between waypoint arrivals so a query
+        # does not recompute them.
+        self._dx = self._x1 - self._x0
+        self._dy = self._y1 - self._y0
+        self._dt = self._t1 - self._t0
 
     def _new_leg(self, i, depart_us):
         rng = self._rngs[i]
@@ -109,9 +117,10 @@ class RandomWaypoint:
             for i in np.flatnonzero(self._t1 <= t_us):
                 self._advance(i, t_us)
             self._next_transition = int(self._t1.min())
-        frac = (t_us - self._t0) / (self._t1 - self._t0)
-        self._memo_x = self._x0 + (self._x1 - self._x0) * frac
-        self._memo_y = self._y0 + (self._y1 - self._y0) * frac
+            self._leg_deltas()
+        frac = (t_us - self._t0) / self._dt
+        self._memo_x = self._x0 + self._dx * frac
+        self._memo_y = self._y0 + self._dy * frac
         self._memo_t = t_us
 
     def positions_xy(self, t_us):

@@ -48,6 +48,50 @@ class Frame:
         self.tx_start = -1
 
 
+class Transmission:
+    """One frame's airtime [start, end) as heard at its receivers.
+
+    Bit r of mask is set for every receiver r, and bit r of collided where
+    another transmission heard at r overlaps this one.  Indexing gives the
+    reception record [start, end, collided] of the i-th receiver.
+    """
+
+    __slots__ = ("start", "end", "receivers", "mask", "collided")
+
+    def __init__(self, start, end, receivers, mask):
+        self.start = start
+        self.end = end
+        self.receivers = receivers
+        self.mask = mask
+        self.collided = 0
+
+    def __len__(self):
+        return len(self.receivers)
+
+    def __getitem__(self, i):
+        return Reception(self, self.receivers[i])
+
+
+class Reception:
+    """Record [start, end, collided] of one receiver of a transmission,
+    read from it when indexed."""
+
+    __slots__ = ("tx", "node")
+
+    def __init__(self, tx, node):
+        self.tx = tx
+        self.node = node
+
+    def __getitem__(self, field):
+        tx = self.tx
+        return (tx.start, tx.end, bool(tx.collided >> self.node & 1))[field]
+
+
+def _bits(within):
+    """Bool array -> int with bit i set where within[i]."""
+    return int.from_bytes(np.packbits(within, bitorder="little").tobytes(), "little")
+
+
 class Radio:
     """Shared medium connecting all nodes of one simulation run."""
 
@@ -63,10 +107,8 @@ class Radio:
         self.on_transmit = None      # accounting hook, fn(frame)
         self._link_break = {}        # node_id -> fn(dead_neighbor, frame)
         self._busy_until = [0] * node_count
-        # Per receiver: disjoint, start-sorted airtime entries [start, end, rec]
-        # where rec is the signal record [start, end, collided] of a lone
-        # transmission, or None for a region merged out of collided ones.
-        self._signals = [[] for _ in range(node_count)]
+        # Transmissions that may still overlap a new one (end > now).
+        self._on_air = []
         self.stats = Counter()
 
     # -- connectivity -------------------------------------------------
@@ -83,13 +125,17 @@ class Radio:
     def neighbors(self, node, t_us):
         """Nodes within Euclidean distance <= range, ascending, excluding
         node itself."""
+        return self._neighborhood(node, t_us)[0]
+
+    def _neighborhood(self, node, t_us):
+        """neighbors() and the same set as a bit mask."""
         xs, ys = self.mobility.positions_xy(t_us)
         dx = xs - xs[node]
         dy = ys - ys[node]
         rsq = self.link.range_m * self.link.range_m
-        hits = np.flatnonzero(dx * dx + dy * dy <= rsq).tolist()
-        hits.remove(node)
-        return hits
+        within = dx * dx + dy * dy <= rsq
+        within[node] = False
+        return within.nonzero()[0].tolist(), _bits(within)
 
     def register_link_break(self, node, callback):
         self._link_break[node] = callback
@@ -105,67 +151,30 @@ class Radio:
         self._busy_until[src] = start + air
         return start
 
-    def _note_signals(self, receivers, start, end):
-        """Record an airtime interval heard at each receiver; returns the
-        per-receiver records.
+    def _note_signals(self, receivers, start, end, mask=None):
+        """Record an airtime interval heard at each receiver; returns it as
+        a Transmission.
 
-        Collisions are flagged eagerly: any overlap between two recorded
-        intervals sets both records' collided flag, so the later arrival
-        check is a single list read.  Overlapping entries are merged so the
-        busy region stays a short disjoint sorted list.
+        Collisions are flagged eagerly: two transmissions whose airtimes
+        overlap flag each other at every receiver that hears both, so the
+        later arrival check is a single bit test.  A transmission that
+        ended before now can never overlap a future send (whose start is
+        >= now), so it is dropped.
         """
-        signals = self._signals
+        if mask is None:
+            mask = sum(1 << r for r in receivers)
+        tx = Transmission(start, end, receivers, mask)
         now = self.sim.now
-        recs = []
-        for receiver in receivers:
-            rec = [start, end, False]
-            recs.append(rec)
-            entries = signals[receiver]
-            # Entries that ended before now can never overlap a future send
-            # (whose start is >= now), so drop them from the front.
-            i = 0
-            n = len(entries)
-            while i < n and entries[i][1] <= now:
-                i += 1
-            if i:
-                del entries[:i]
-                n -= i
-            # Storm fast path: recent traffic merged into one busy region.
-            if n == 1:
-                e = entries[0]
-                if e[0] < end and e[1] > start:
-                    rec[2] = True
-                    other = e[2]
-                    if other is not None:
-                        other[2] = True
-                        e[2] = None
-                    if start < e[0]:
-                        e[0] = start
-                    if end > e[1]:
-                        e[1] = end
-                    continue
-            # Disjointness makes both starts and ends sorted, so the entries
-            # overlapping [start, end) form one contiguous run.
-            j = n
-            while j and entries[j - 1][0] >= end:
-                j -= 1
-            k = j
-            while k and entries[k - 1][1] > start:
-                k -= 1
-            if k == j:
-                entries.insert(k, [start, end, rec])
-            else:
-                rec[2] = True
-                lo, hi = start, end
-                for e_start, e_end, e_rec in entries[k:j]:
-                    if e_rec is not None:
-                        e_rec[2] = True
-                    if e_start < lo:
-                        lo = e_start
-                    if e_end > hi:
-                        hi = e_end
-                entries[k:j] = [[lo, hi, None]]
-        return recs
+        on_air = [tx]
+        for other in self._on_air:
+            if other.end > now:
+                on_air.append(other)
+                common = other.mask & mask
+                if common and other.start < end and other.end > start:
+                    other.collided |= common
+                    tx.collided |= common
+        self._on_air = on_air
+        return tx
 
     def broadcast(self, src, frame):
         """Send to every current neighbor; returns the recipient count.
@@ -181,33 +190,39 @@ class Radio:
         if self.on_transmit is not None:
             self.on_transmit(frame)
         self.stats["tx_broadcast"] += 1
-        receivers = self.neighbors(src, sim.now)
+        receivers, mask = self._neighborhood(src, sim.now)
         if not receivers:
             return 0
         if self.ideal:
-            recs = None
+            tx = None
         else:
-            recs = self._note_signals(receivers, start, end)
+            tx = self._note_signals(receivers, start, end, mask)
         sim.at(end + self.link.per_hop_latency_us,
-               lambda: self._bcast_arrivals(src, receivers, recs, frame),
+               lambda: self._bcast_arrivals(src, receivers, tx, frame),
                kind=EventKind.FRAME_ARRIVAL, target=src)
         return len(receivers)
 
-    def _bcast_arrivals(self, src, receivers, recs, frame):
+    def _bcast_arrivals(self, src, receivers, tx, frame):
+        # Every verdict is taken before the first delivery: a receive cannot
+        # flag another copy of this frame, since whatever it sends starts
+        # after the frame ended, and positions do not change within now.
         stats = self.stats
         xs, ys = self.mobility.positions_xy(self.sim.now)
         dx = xs - xs[src]
         dy = ys - ys[src]
         d2 = (dx * dx + dy * dy).tolist()
         rsq = self.link.range_m * self.link.range_m
+        if tx is not None and tx.collided:
+            collided = tx.collided
+            clean = [r for r in receivers if not collided >> r & 1]
+            stats["rx_collision"] += len(receivers) - len(clean)
+        else:
+            clean = receivers
+        heard = [r for r in clean if d2[r] <= rsq]
+        if len(heard) < len(clean):
+            stats["rx_out_of_range"] += len(clean) - len(heard)
         on_receive = self.on_receive
-        for idx, r in enumerate(receivers):
-            if recs is not None and recs[idx][2]:
-                stats["rx_collision"] += 1
-                continue
-            if d2[r] > rsq:
-                stats["rx_out_of_range"] += 1
-                continue
+        for r in heard:
             stats["rx_delivered"] += 1
             on_receive(r, frame)
 
@@ -231,17 +246,16 @@ class Radio:
             self.on_transmit(frame)
         self.stats["tx_unicast"] += 1
         in_range_at_start = self.in_range(src, dst, sim.now)
-        rec = None
+        tx = None
         if not self.ideal and in_range_at_start:
             # The transmission is heard (and interferes) at every node in range.
-            nbrs = self.neighbors(src, sim.now)
-            noted = self._note_signals(nbrs, start, end)
-            rec = noted[nbrs.index(dst)]
+            nbrs, mask = self._neighborhood(src, sim.now)
+            tx = self._note_signals(nbrs, start, end, mask)
         arrive = end + self.link.per_hop_latency_us
 
         def resolve():
             ok = in_range_at_start and self.in_range(src, dst, sim.now)
-            if ok and rec is not None and rec[2]:
+            if ok and tx is not None and tx.collided >> dst & 1:
                 ok = False
                 self.stats["rx_collision"] += 1
             if ok:
