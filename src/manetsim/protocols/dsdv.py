@@ -7,6 +7,8 @@ smaller hop count; otherwise the advertisement is ignored.  Broken links
 invalidate routes by making their sequence number odd.
 """
 
+from itertools import chain
+
 import numpy as np
 
 from .base import DATA, DataPacket, RoutingProtocol
@@ -99,7 +101,9 @@ class DsdvRouter(RoutingProtocol):
         size = UPDATE_HEADER_BYTES + UPDATE_ENTRY_BYTES * len(entries)
         self._last_dump_us = self.sim.now
         self._trigger_pending = False
-        dests, seqs, hops = np.array(entries, dtype=np.int64).T
+        flat = np.fromiter(chain.from_iterable(entries), dtype=np.int64,
+                           count=3 * len(entries))
+        dests, seqs, hops = flat.reshape(-1, 3).T
         ranks = _rank(seqs, np.where(hops < INFINITY, hops + 1, INFINITY))
         msg = (me, tuple(entries), dests, ranks)
         self.radio.broadcast(self.node_id, self._frame(-1, size, UPDATE, msg))

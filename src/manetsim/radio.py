@@ -221,9 +221,10 @@ class Radio:
         heard = [r for r in clean if d2[r] <= rsq]
         if len(heard) < len(clean):
             stats["rx_out_of_range"] += len(clean) - len(heard)
+        if heard:
+            stats["rx_delivered"] += len(heard)
         on_receive = self.on_receive
         for r in heard:
-            stats["rx_delivered"] += 1
             on_receive(r, frame)
 
     def unicast(self, src, dst, frame):
