@@ -62,10 +62,12 @@ class RandomWaypoint:
         self._fixed = None
         self._pause_us = int(round(pause_time * US_PER_S))
         self._rngs = [RngStream(seed, f"mobility:{i}") for i in range(node_count)]
-        self._x0 = np.array([p[0] for p in start])
-        self._y0 = np.array([p[1] for p in start])
-        self._x1 = np.empty(node_count)
-        self._y1 = np.empty(node_count)
+        # Leg endpoints as (2, node_count) arrays of x and y rows; _x0 and
+        # the rest are views of those rows.
+        self._p0 = np.array([[p[0] for p in start], [p[1] for p in start]])
+        self._p1 = np.empty((2, node_count))
+        self._x0, self._y0 = self._p0
+        self._x1, self._y1 = self._p1
         self._t0 = np.zeros(node_count, dtype=np.int64)
         self._t1 = np.zeros(node_count, dtype=np.int64)
         self._pausing = np.zeros(node_count, dtype=bool)
@@ -77,8 +79,7 @@ class RandomWaypoint:
     def _leg_deltas(self):
         # Per-leg differences, kept between waypoint arrivals so a query
         # does not recompute them.
-        self._dx = self._x1 - self._x0
-        self._dy = self._y1 - self._y0
+        self._d = self._p1 - self._p0
         self._dt = self._t1 - self._t0
 
     def _new_leg(self, i, depart_us):
@@ -119,8 +120,7 @@ class RandomWaypoint:
             self._next_transition = int(self._t1.min())
             self._leg_deltas()
         frac = (t_us - self._t0) / self._dt
-        self._memo_x = self._x0 + self._dx * frac
-        self._memo_y = self._y0 + self._dy * frac
+        self._memo_x, self._memo_y = self._p0 + self._d * frac
         self._memo_t = t_us
 
     def positions_xy(self, t_us):
