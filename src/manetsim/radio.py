@@ -207,17 +207,19 @@ class Radio:
         # flag another copy of this frame, since whatever it sends starts
         # after the frame ended, and positions do not change within now.
         stats = self.stats
+        if tx is not None and tx.collided:
+            collided = tx.collided
+            clean = [r for r in receivers if not collided >> r & 1]
+            stats["rx_collision"] += len(receivers) - len(clean)
+            if not clean:
+                return
+        else:
+            clean = receivers
         xs, ys = self.mobility.positions_xy(self.sim.now)
         dx = xs - xs[src]
         dy = ys - ys[src]
         d2 = (dx * dx + dy * dy).tolist()
         rsq = self.link.range_m * self.link.range_m
-        if tx is not None and tx.collided:
-            collided = tx.collided
-            clean = [r for r in receivers if not collided >> r & 1]
-            stats["rx_collision"] += len(receivers) - len(clean)
-        else:
-            clean = receivers
         heard = [r for r in clean if d2[r] <= rsq]
         if len(heard) < len(clean):
             stats["rx_out_of_range"] += len(clean) - len(heard)
