@@ -7,8 +7,6 @@ smaller hop count; otherwise the advertisement is ignored.  Broken links
 invalidate routes by making their sequence number odd.
 """
 
-from itertools import chain
-
 import numpy as np
 
 from .base import DATA, DataPacket, RoutingProtocol
@@ -66,8 +64,12 @@ class DsdvRouter(RoutingProtocol):
         self.own_seq = 0
         self.table = {node_id: DsdvEntry(node_id, node_id, 0, 0, 0)}
         self._settling = {}       # dest -> (prev_next_hop, prev_hops, deadline_us)
-        # dest -> _rank of the stored entry, UNRANKED where there is none
-        self._ranks = np.full(max(radio.node_count, node_id + 1), UNRANKED)
+        # Array copies of the table, indexed by dest: the _rank of the stored
+        # entry (UNRANKED where there is none) and its (dest, seq, hops).
+        size = max(radio.node_count, node_id + 1)
+        self._ranks = np.full(size, UNRANKED)
+        self._rows = np.zeros((size, 3), dtype=np.int64)
+        self._rerank((node_id,))
         self._last_dump_us = -TRIGGER_SPACING_US
         self._trigger_pending = False
 
@@ -87,25 +89,23 @@ class DsdvRouter(RoutingProtocol):
         """Bump own sequence number by two (stays even) and dump the table."""
         self.own_seq += 2
         self.table[self.node_id].seq = self.own_seq
+        self._rerank((self.node_id,))
         self._dump()
 
     def _dump(self):
         """Broadcast the table.  The message is (origin, entries, dests,
-        ranks): the (dest, seq, hops) triples, plus their destinations and
-        the _rank each would have once installed, as arrays that let every
-        receiver skip the entries it would ignore in one vector compare."""
-        me = self.node_id
-        entries = [(me, self.own_seq, 0)]
-        entries.extend((e.dest, e.seq, e.hops)
-                       for e in self.table.values() if e.dest != me)
+        ranks): the (dest, seq, hops) rows in table order, own entry first,
+        plus their destinations and the _rank each would have once
+        installed, which let every receiver skip the entries it would
+        ignore in one vector compare."""
+        dests = np.fromiter(self.table, dtype=np.int64, count=len(self.table))
+        entries = self._rows[dests]
+        seqs, hops = entries[:, 1], entries[:, 2]
+        ranks = _rank(seqs, np.where(hops < INFINITY, hops + 1, INFINITY))
         size = UPDATE_HEADER_BYTES + UPDATE_ENTRY_BYTES * len(entries)
         self._last_dump_us = self.sim.now
         self._trigger_pending = False
-        flat = np.fromiter(chain.from_iterable(entries), dtype=np.int64,
-                           count=3 * len(entries))
-        dests, seqs, hops = flat.reshape(-1, 3).T
-        ranks = _rank(seqs, np.where(hops < INFINITY, hops + 1, INFINITY))
-        msg = (me, tuple(entries), dests, ranks)
+        msg = (self.node_id, entries, dests, ranks)
         self.radio.broadcast(self.node_id, self._frame(-1, size, UPDATE, msg))
 
     def _trigger_update(self):
@@ -159,13 +159,13 @@ class DsdvRouter(RoutingProtocol):
         if ranks is not None:
             try:
                 stored = self._ranks[dests]
-            except IndexError:          # a destination beyond the array
-                self._grow_ranks(int(dests.max()))
+            except IndexError:          # a destination beyond the arrays
+                self._grow(int(dests.max()))
                 stored = self._ranks[dests]
-            fresher = (ranks > stored).nonzero()[0].tolist()
-            if not fresher:
+            fresher = (ranks > stored).nonzero()[0]
+            if not len(fresher):
                 return []
-            entries = [entries[i] for i in fresher]
+            entries = entries[fresher].tolist()
         changed = []
         table = self.table
         me = self.node_id
@@ -213,23 +213,27 @@ class DsdvRouter(RoutingProtocol):
         self._rerank(dest for dest, _seq, _hops in entries)
         return changed
 
-    def _grow_ranks(self, dest):
-        grown = np.full(2 * dest + 1, UNRANKED)
-        grown[:len(self._ranks)] = self._ranks
-        self._ranks = grown
+    def _grow(self, dest):
+        """Make the table arrays long enough to index dest."""
+        size = 2 * dest + 1
+        ranks = np.full(size, UNRANKED)
+        ranks[:len(self._ranks)] = self._ranks
+        rows = np.zeros((size, 3), dtype=np.int64)
+        rows[:len(self._rows)] = self._rows
+        self._ranks, self._rows = ranks, rows
 
     def _rerank(self, dests):
-        """Bring _ranks up to date for dests after their entries changed."""
+        """Bring the table arrays up to date for dests after their entries
+        changed."""
         table = self.table
-        ranks = self._ranks
         for dest in dests:
             entry = table.get(dest)
             if entry is None:
                 continue
-            if dest >= len(ranks):
-                self._grow_ranks(dest)
-                ranks = self._ranks
-            ranks[dest] = _rank(entry.seq, entry.hops)
+            if dest >= len(self._ranks):
+                self._grow(dest)
+            self._ranks[dest] = _rank(entry.seq, entry.hops)
+            self._rows[dest] = (dest, entry.seq, entry.hops)
 
     # -- link failure -------------------------------------------------
 
