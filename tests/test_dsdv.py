@@ -1,6 +1,6 @@
 """DSDV: update acceptance rule, invalidation, hold-down, forwarding."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from manetsim.protocols.dsdv import (INFINITY, SETTLE_US, UPDATE_ENTRY_BYTES,
                                      UPDATE_HEADER_BYTES, DsdvEntry)
@@ -126,6 +126,54 @@ def test_handle_update_equivalence_fuzz(entries, origin):
         ref.apply_update_entry(dest, seq, hops, origin=origin)
     assert {d: (e.next_hop, e.hops, e.seq) for d, e in bulk.table.items()} == \
            {d: (e.next_hop, e.hops, e.seq) for d, e in ref.table.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6),
+                          st.sampled_from([0, 1, 2, 3, INFINITY]),
+                          st.integers(-1, 1), st.integers(-3, 3)),
+                max_size=12),
+       st.booleans())
+# One entry each side, tied or one step apart on the sequence number and
+# on the hop count the receiver would install.
+@example([(2, 4, 0, 0, 1)], False)
+@example([(2, 4, 0, 0, 2)], False)
+@example([(2, 4, 1, 1, 0)], False)
+@example([(2, 4, 1, -1, 0)], False)
+@example([(2, 4, INFINITY, 0, 0)], True)
+def test_dump_ranks_skip_only_ignored_entries(pairs, break_link):
+    """A dump carries ranks that let a receiver skip entries before the
+    rule runs; the result must equal running the rule on every entry."""
+    # The receiver holds each advertised entry with its sequence number
+    # and hop count nudged, so the rule's ties and near-ties all occur.
+    held = [(dest, max(0, seq + dseq),
+             hops if hops == INFINITY else max(0, hops + dhops))
+            for dest, seq, hops, dseq, dhops in pairs]
+    sender_net = Net([(0, 0), (1000, 0)], protocol="DSDV")
+    sender = sender_net.routers[0]
+    for dest, seq, hops, _dseq, _dhops in pairs:
+        sender.apply_update_entry(dest, seq, hops, origin=2)
+    dumps = []
+    sender_net.radio.on_transmit = lambda fr: dumps.append(fr.payload)
+    sender.periodic_advertise()
+    msg = dumps[-1]
+    receivers = []
+    for _ in range(2):
+        r = Net([(0, 0), (1000, 0)], protocol="DSDV").routers[1]
+        for dest, seq, hops in held:
+            r.apply_update_entry(dest, seq, hops, origin=3 * (dest % 2))
+        if break_link:
+            r.invalidate_via(0)
+        receivers.append(r)
+    screened, plain = receivers
+    got = screened.handle_update(msg)
+    want = plain.handle_update((msg[0], tuple(map(tuple, msg[1].tolist()))))
+    assert got == want
+    assert {d: (e.next_hop, e.hops, e.seq, e.install_us)
+            for d, e in screened.table.items()} == \
+           {d: (e.next_hop, e.hops, e.seq, e.install_us)
+            for d, e in plain.table.items()}
+    assert screened._settling == plain._settling
 
 
 # -- invalidation -------------------------------------------------------

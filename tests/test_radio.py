@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from manetsim.engine import Simulator
 from manetsim.mobility import FixedPositions
@@ -118,6 +118,30 @@ def test_collision_with_merged_busy_region():
     (d,) = radio._note_signals([1], 3000, 4000)
     assert a[2] and b[2] and c[2]
     assert not d[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10),
+                          st.integers(1, 10), st.sets(st.integers(0, 4), min_size=1)),
+                min_size=1, max_size=12))
+@example([(0, 0, 5, {1}), (0, 5, 5, {1, 2})])     # back to back: no collision
+@example([(0, 4, 5, {1}), (0, 0, 5, {1, 2})])     # overlap, later one first
+def test_collision_flags_match_pairwise_overlap(sends):
+    """A copy collides exactly when another send heard at the same receiver
+    overlaps it in time."""
+    sim, radio, _ = make_radio([(0, 0)] * 5)
+    noted = []
+    for now, delay, air, receivers in sorted(sends, key=lambda send: send[0]):
+        sim.now = now                 # sends are noted in time order
+        start = now + delay
+        receivers = sorted(receivers)
+        recs = radio._note_signals(receivers, start, start + air)
+        noted.append((start, start + air, receivers, recs))
+    for i, (start, end, receivers, recs) in enumerate(noted):
+        for k, r in enumerate(receivers):
+            expected = any(r in others and s < end and e > start
+                           for j, (s, e, others, _) in enumerate(noted) if j != i)
+            assert bool(recs[k][2]) == expected
 
 
 def test_unicast_delivers_and_counts():
