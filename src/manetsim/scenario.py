@@ -1,6 +1,7 @@
 """Scenario assembly: build engine, mobility, radio, routers and traffic
 from a ScenarioConfig and run one simulation."""
 
+import gc
 import math
 from dataclasses import dataclass, field, fields
 
@@ -141,12 +142,34 @@ def run_scenario(config, trace_path=None, move_trace_path=None,
     Metrics are computed over packets generated in [warmup, sim_time]; the
     engine runs a short drain past sim_time so in-flight packets can land.
     """
+    move_rows = [] if move_trace_path else None
+    trace = _simulate(config, mobility, move_rows, move_trace_interval)
+    # A finished simulation is a web of reference cycles (routers, radio and
+    # engine point at each other, and pending events at all three), so only
+    # the cycle collector frees it; collect now, so that a sweep holds one
+    # run's state at a time.
+    gc.collect()
+
+    windowed = trace.window(to_us(config.warmup), to_us(config.sim_time))
+    record = summarize(windowed)
+    if trace_path:
+        write_trace_csv(trace, trace_path)
+    if move_trace_path:
+        with open(move_trace_path, "w") as fh:
+            fh.write("time,node,x,y\n")
+            for t, node, x, y in move_rows:
+                fh.write(f"{t / US_PER_S:.6f},{node},{x:.3f},{y:.3f}\n")
+    return record, trace
+
+
+def _simulate(config, mobility, move_rows, move_trace_interval):
+    """Build and run one simulation; returns its PacketTrace.  Samples
+    positions into move_rows unless it is None."""
     sim, radio, routers, trace, flows, generator = build_simulation(config, mobility)
     for router in routers:
         router.start()
     generator.start()
 
-    move_rows = [] if move_trace_path else None
     if move_rows is not None:
         interval_us = to_us(move_trace_interval)
 
@@ -161,14 +184,4 @@ def run_scenario(config, trace_path=None, move_trace_path=None,
         sim.at(0, sample, kind=EventKind.MOBILITY_UPDATE)
 
     sim.run_until(to_us(config.sim_time + config.drain))
-
-    windowed = trace.window(to_us(config.warmup), to_us(config.sim_time))
-    record = summarize(windowed)
-    if trace_path:
-        write_trace_csv(trace, trace_path)
-    if move_trace_path:
-        with open(move_trace_path, "w") as fh:
-            fh.write("time,node,x,y\n")
-            for t, node, x, y in move_rows:
-                fh.write(f"{t / US_PER_S:.6f},{node},{x:.3f},{y:.3f}\n")
-    return record, trace
+    return trace
