@@ -3,8 +3,11 @@
 The grid is every protocol x {20, 40} nodes x pauses {0, 20, static} with
 the realistic MAC, swept with per-cell traces, plus one ideal-MAC cell per
 protocol on a fixed placement.  Any change to an output byte of ``raw.csv``
-or of a trace fails the test.  A change that alters behaviour on purpose
-regenerates ``golden.json`` with
+or of a trace fails the test.  The radio's counters (``Radio.stats``) do
+not reach those outputs, so the counters of the 40-node pause-0 cells are
+locked as well, with one more such cell per protocol on slow, fast-moving
+links (SLOW), where frames also arrive after their receiver left range.  A
+change that alters behaviour on purpose regenerates ``golden.json`` with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -17,7 +20,11 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import pytest
+
+from manetsim import scenario
 from manetsim.engine import RngStream
 from manetsim.mobility import STATIC, FixedPositions, init_positions
 from manetsim.scenario import ScenarioConfig, run_scenario
@@ -29,6 +36,10 @@ GRID = SweepSpec(protocols=["DSDV", "AODV", "DSR"], node_counts=[20, 40],
                  pause_times=[0.0, 20.0, STATIC], seeds_per_cell=1)
 FIXED = dataclasses.replace(BASE, node_count=30, n_flows=8, mac_mode="ideal",
                             pause_time=STATIC)
+# 50 ms per hop at up to 20 m/s: out-of-range arrivals occur.
+SLOW = dataclasses.replace(BASE, node_count=40, pause_time=0.0, max_speed=20.0,
+                           per_hop_latency=0.05)
+STATS_KEY = "radio_stats"
 
 
 def _sha256(path):
@@ -49,26 +60,58 @@ def _fixed_cells(out):
     write_raw_csv(rows, out / "raw_fixed.csv")
 
 
-def golden_digests(out_dir):
-    """{output file name: sha256} for the grid and the fixed cells."""
+def golden_outputs(out_dir):
+    """{output file name: sha256} for the grid and the fixed cells, plus
+    under STATS_KEY {cell: radio counters} of the 40-node pause-0 cells
+    of the grid and of SLOW."""
     out = Path(out_dir)
-    _rows, failures = run_sweep(GRID, BASE, str(out), trace_cells=True)
+    stats = {}
+    build = scenario.build_simulation
+
+    def build_and_keep_stats(config, mobility=None):
+        built = build(config, mobility)
+        if config.node_count == 40 and config.pause_time == 0.0:
+            slow = "-slow" if config.per_hop_latency == SLOW.per_hop_latency else ""
+            stats[f"{config.protocol}-n40-p0{slow}"] = built[1].stats
+        return built
+
+    with mock.patch.object(scenario, "build_simulation", build_and_keep_stats):
+        _rows, failures = run_sweep(GRID, BASE, str(out), trace_cells=True)
+        for protocol in GRID.protocols:
+            run_scenario(dataclasses.replace(SLOW, protocol=protocol))
     assert failures == []
     _fixed_cells(out)
-    return {p.name: _sha256(p) for p in sorted(out.glob("*.csv"))
-            if p.name.startswith(("raw", "trace_"))}
+    outputs = {p.name: _sha256(p) for p in sorted(out.glob("*.csv"))
+               if p.name.startswith(("raw", "trace_"))}
+    outputs[STATS_KEY] = {cell: dict(sorted(counts.items()))
+                          for cell, counts in sorted(stats.items())}
+    return outputs
 
 
-def test_outputs_match_golden_digests(tmp_path):
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    """(wanted, got) outputs, computed once for the module."""
     want = json.loads(GOLDEN.read_text())
-    got = golden_digests(tmp_path)
-    differ = sorted(name for name in want.keys() | got.keys()
-                    if want.get(name) != got.get(name))
+    return want, golden_outputs(tmp_path_factory.mktemp("golden"))
+
+
+def test_outputs_match_golden_digests(golden):
+    want, got = golden
+    names = (want.keys() | got.keys()) - {STATS_KEY}
+    differ = sorted(name for name in names if want.get(name) != got.get(name))
     assert not differ, f"outputs differ from {GOLDEN.name}: {differ}"
+
+
+def test_radio_counters_match_golden(golden):
+    want, got = golden
+    assert len(got[STATS_KEY]) == 6
+    assert any(counts.get("rx_out_of_range") for counts in got[STATS_KEY].values())
+    assert got[STATS_KEY] == want[STATS_KEY]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = golden_digests(tmp)
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
+        outputs = golden_outputs(tmp)
+    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(outputs) - 1} digests and the radio counters to {GOLDEN}",
+          file=sys.stderr)
