@@ -52,12 +52,10 @@ class RandomWaypoint:
         start = init_positions(node_count, init_rng, width, height)
         self.static = pause_time == STATIC
         self._memo_t = -1
-        self._memo_x = None
-        self._memo_y = None
+        self._memo_xy = None
         if self.static:
             self._fixed = start
-            self._fx = np.array([p[0] for p in start])
-            self._fy = np.array([p[1] for p in start])
+            self._fxy = np.array([[p[0] for p in start], [p[1] for p in start]])
             return
         self._fixed = None
         self._pause_us = int(round(pause_time * US_PER_S))
@@ -120,27 +118,28 @@ class RandomWaypoint:
             self._next_transition = int(self._t1.min())
             self._leg_deltas()
         frac = (t_us - self._t0) / self._dt
-        self._memo_x, self._memo_y = self._p0 + self._d * frac
+        self._memo_xy = self._p0 + self._d * frac
         self._memo_t = t_us
 
     def positions_xy(self, t_us):
-        """Positions of all nodes at t_us as an (xs, ys) array pair."""
+        """Positions of all nodes at t_us as a (2, node_count) array of x
+        and y rows; it unpacks as ``xs, ys``."""
         if self.static:
-            return self._fx, self._fy
+            return self._fxy
         self._eval(t_us)
-        return self._memo_x, self._memo_y
+        return self._memo_xy
 
     def position(self, node, t_us):
         if self.static:
             return self._fixed[node]
         self._eval(t_us)
-        return (float(self._memo_x[node]), float(self._memo_y[node]))
+        return tuple(self._memo_xy[:, node].tolist())
 
     def positions(self, t_us):
         if self.static:
             return self._fixed
         self._eval(t_us)
-        return list(zip(self._memo_x.tolist(), self._memo_y.tolist()))
+        return list(zip(*self._memo_xy.tolist()))
 
 
 class FixedPositions:
@@ -149,14 +148,12 @@ class FixedPositions:
     def __init__(self, positions):
         self._pos = [tuple(p) for p in positions]
         self.node_count = len(self._pos)
-        self.static = True
         self._xy = self._arrays()
 
     def _arrays(self):
         # Rebuilt, not updated in place: int positions would give an int
         # array that truncates a later float move().
-        return (np.array([p[0] for p in self._pos]),
-                np.array([p[1] for p in self._pos]))
+        return np.array([[p[0] for p in self._pos], [p[1] for p in self._pos]])
 
     def move(self, node, xy):
         self._pos[node] = tuple(xy)

@@ -1,4 +1,4 @@
-from .base import DataPacket, RoutingProtocol
+from .base import DataPacket, RoutingProtocol, connect
 from .dsdv import DsdvRouter
 from .aodv import AodvRouter
 from .dsr import DsrRouter
@@ -19,4 +19,4 @@ def make_router(name, node_id, sim, radio, trace, rng, **kwargs):
 
 
 __all__ = ["DataPacket", "RoutingProtocol", "DsdvRouter", "AodvRouter",
-           "DsrRouter", "PROTOCOLS", "make_router"]
+           "DsrRouter", "PROTOCOLS", "connect", "make_router"]

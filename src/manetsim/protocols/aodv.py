@@ -6,7 +6,7 @@ sequence number is at least as fresh as the one the request asks for,
 and travel back along the reverse path the request installed.
 """
 
-from .base import DATA, DataPacket, ReactiveProtocol
+from .base import DATA, DataPacket, Flood, ReactiveProtocol
 
 ACTIVE_ROUTE_TIMEOUT_US = 10_000_000
 
@@ -42,16 +42,17 @@ class AodvEntry:
 
 class Rreq:
     __slots__ = ("origin", "rreq_id", "dest", "dest_seq_known", "origin_seq",
-                 "hop_count")
+                 "hop_count", "flood")
 
     def __init__(self, origin, rreq_id, dest, dest_seq_known, origin_seq,
-                 hop_count=0):
+                 hop_count=0, flood=None):
         self.origin = origin
         self.rreq_id = rreq_id
         self.dest = dest
         self.dest_seq_known = dest_seq_known
         self.origin_seq = origin_seq
         self.hop_count = hop_count
+        self.flood = flood or Flood(origin)
 
 
 class Rrep:
@@ -66,13 +67,13 @@ class Rrep:
 
 class AodvRouter(ReactiveProtocol):
     name = "aodv"
+    rreq_kind = RREQ
 
     def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
         super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
         self.own_seq = 0
         self.rreq_id = 0
         self.table = {}          # dest -> AodvEntry
-        self.seen_rreqs = set()  # (origin, rreq_id)
 
     # -- table maintenance --------------------------------------------
 
@@ -125,15 +126,12 @@ class AodvRouter(ReactiveProtocol):
         entry = self.table.get(dest)
         known = entry.dest_seq if entry is not None else UNKNOWN
         rreq = Rreq(self.node_id, self.rreq_id, dest, known, self.own_seq)
-        self.seen_rreqs.add((self.node_id, self.rreq_id))
         self.radio.broadcast(self.node_id, self._frame(-1, RREQ_BYTES, RREQ, rreq))
         return rreq
 
     def handle_rreq(self, rreq, prev_hop):
-        key = (rreq.origin, rreq.rreq_id)
-        if key in self.seen_rreqs:
+        if not rreq.flood.first_visit(self.node_id):
             return
-        self.seen_rreqs.add(key)
         self._install(rreq.origin, prev_hop, rreq.hop_count + 1, rreq.origin_seq)
         self._flush_buffer(rreq.origin)
         if rreq.dest == self.node_id:
@@ -153,7 +151,7 @@ class AodvRouter(ReactiveProtocol):
                                self._frame(prev_hop, RREP_BYTES, RREP, reply))
             return
         fwd = Rreq(rreq.origin, rreq.rreq_id, rreq.dest, rreq.dest_seq_known,
-                   rreq.origin_seq, rreq.hop_count + 1)
+                   rreq.origin_seq, rreq.hop_count + 1, rreq.flood)
         self._jittered(lambda: self.radio.broadcast(
             self.node_id, self._frame(-1, RREQ_BYTES, RREQ, fwd)))
 

@@ -34,6 +34,31 @@ class DataPacket:
         self.idx = 0
 
 
+class Flood:
+    """The nodes that have handled one route request, as a bit mask that
+    every copy of the request carries: duplicate detection (RFC 3561 6.5,
+    RFC 4728 3.3.2) without per-node state."""
+
+    __slots__ = ("seen",)
+
+    def __init__(self, origin):
+        self.seen = 1 << origin
+
+    def first_visit(self, node):
+        """Mark node as having handled the request; False if it already had."""
+        seen = self.seen
+        self.seen = seen | 1 << node
+        return not seen >> node & 1
+
+
+def connect(radio, routers):
+    """Hand the radio's frames to routers: a unicast to its receiver, a
+    broadcast to all of its receivers in one call."""
+    radio.on_receive = lambda node, frame: routers[node].handle_frame(frame)
+    radio.on_broadcast = lambda mask, frame: routers[0].deliver_broadcast(
+        routers, mask, frame)
+
+
 class RoutingProtocol:
     """Per-node protocol instance, driven entirely by engine events."""
 
@@ -58,6 +83,14 @@ class RoutingProtocol:
 
     def handle_frame(self, frame):
         raise NotImplementedError
+
+    @classmethod
+    def deliver_broadcast(cls, routers, mask, frame):
+        """Hand a broadcast frame to the routers in mask, in node order."""
+        while mask:
+            low = mask & -mask
+            routers[low.bit_length() - 1].handle_frame(frame)
+            mask ^= low
 
     def handle_link_break(self, dead_neighbor, frame):
         raise NotImplementedError
@@ -112,14 +145,22 @@ class ReactiveProtocol(RoutingProtocol):
     Packets for a destination without a route wait in a bounded buffer
     while a route request floods; an unanswered request is repeated every
     DISCOVERY_TIMEOUT_US, up to RREQ_RETRIES times, and then the buffered
-    packets are dropped.  Subclasses supply ``has_route(dest)`` and
-    ``originate_rreq(dest)``.
+    packets are dropped.  Subclasses supply ``has_route(dest)``,
+    ``originate_rreq(dest)`` and ``rreq_kind``, the frame kind of a route
+    request, whose payload carries its ``Flood``.
     """
 
     def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
         super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
         self.buffers = {}        # dest -> deque of DataPacket
         self.pending = {}        # dest -> [attempts_done, timer_handle]
+
+    @classmethod
+    def deliver_broadcast(cls, routers, mask, frame):
+        if frame.kind == cls.rreq_kind:
+            # Nodes that already handled this request drop the copy unseen.
+            mask &= ~frame.payload.flood.seen
+        super().deliver_broadcast(routers, mask, frame)
 
     def has_route(self, dest):
         raise NotImplementedError

@@ -7,7 +7,7 @@ return path caches the path and its prefixes.  Route errors purge every
 cached path containing the broken link.
 """
 
-from .base import DATA, DataPacket, ReactiveProtocol
+from .base import DATA, DataPacket, Flood, ReactiveProtocol
 
 CACHE_CAPACITY = 64              # paths per node, FIFO eviction, no expiry
 
@@ -76,13 +76,14 @@ class RouteCache:
 
 
 class _Rreq:
-    __slots__ = ("origin", "request_id", "dest", "record")
+    __slots__ = ("origin", "request_id", "dest", "record", "flood")
 
-    def __init__(self, origin, request_id, dest, record):
+    def __init__(self, origin, request_id, dest, record, flood):
         self.origin = origin
         self.request_id = request_id
         self.dest = dest
         self.record = record  # tuple of traversed nodes, origin first
+        self.flood = flood
 
 
 class _Rrep:
@@ -107,12 +108,12 @@ class _Rerr:
 
 class DsrRouter(ReactiveProtocol):
     name = "dsr"
+    rreq_kind = RREQ
 
     def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
         super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
         self.cache = RouteCache()
         self.request_id = 0
-        self.seen_rreqs = set()
 
     # -- sending ------------------------------------------------------
 
@@ -143,16 +144,14 @@ class DsrRouter(ReactiveProtocol):
 
     def originate_rreq(self, dest):
         self.request_id += 1
-        rreq = _Rreq(self.node_id, self.request_id, dest, (self.node_id,))
-        self.seen_rreqs.add((self.node_id, self.request_id))
+        rreq = _Rreq(self.node_id, self.request_id, dest, (self.node_id,),
+                     Flood(self.node_id))
         size = RREQ_BASE_BYTES + RREQ_PER_HOP_BYTES * len(rreq.record)
         self.radio.broadcast(self.node_id, self._frame(-1, size, RREQ, rreq))
 
     def handle_rreq(self, rreq):
-        key = (rreq.origin, rreq.request_id)
-        if key in self.seen_rreqs or self.node_id in rreq.record:
+        if not rreq.flood.first_visit(self.node_id):
             return
-        self.seen_rreqs.add(key)
         if rreq.dest == self.node_id:
             path = make_source_route(rreq.record + (self.node_id,))
             self._send_rrep(path, path.index(self.node_id))
@@ -165,7 +164,7 @@ class DsrRouter(ReactiveProtocol):
                 self._send_rrep(path, path.index(self.node_id))
                 return
         record = rreq.record + (self.node_id,)
-        fwd = _Rreq(rreq.origin, rreq.request_id, rreq.dest, record)
+        fwd = _Rreq(rreq.origin, rreq.request_id, rreq.dest, record, rreq.flood)
         size = RREQ_BASE_BYTES + RREQ_PER_HOP_BYTES * len(record)
         self._jittered(lambda: self.radio.broadcast(
             self.node_id, self._frame(-1, size, RREQ, fwd)))

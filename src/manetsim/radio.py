@@ -52,44 +52,16 @@ class Transmission:
     """One frame's airtime [start, end) as heard at its receivers.
 
     Bit r of mask is set for every receiver r, and bit r of collided where
-    another transmission heard at r overlaps this one.  Indexing gives the
-    reception record [start, end, collided] of the i-th receiver.
+    another transmission heard at r overlaps this one.
     """
 
-    __slots__ = ("start", "end", "receivers", "mask", "collided")
+    __slots__ = ("start", "end", "mask", "collided")
 
-    def __init__(self, start, end, receivers, mask):
+    def __init__(self, start, end, mask):
         self.start = start
         self.end = end
-        self.receivers = receivers
         self.mask = mask
         self.collided = 0
-
-    def __len__(self):
-        return len(self.receivers)
-
-    def __getitem__(self, i):
-        return Reception(self, self.receivers[i])
-
-
-class Reception:
-    """Record [start, end, collided] of one receiver of a transmission,
-    read from it when indexed."""
-
-    __slots__ = ("tx", "node")
-
-    def __init__(self, tx, node):
-        self.tx = tx
-        self.node = node
-
-    def __getitem__(self, field):
-        tx = self.tx
-        return (tx.start, tx.end, bool(tx.collided >> self.node & 1))[field]
-
-
-def _bits(within):
-    """Bool array -> int with bit i set where within[i]."""
-    return int.from_bytes(np.packbits(within, bitorder="little").tobytes(), "little")
 
 
 class Radio:
@@ -103,7 +75,8 @@ class Radio:
         self.link = link or LinkModel()
         self.ideal = ideal
         self.retry_limit = retry_limit
-        self.on_receive = None       # fn(node_id, frame)
+        self.on_receive = None       # unicast delivery, fn(node_id, frame)
+        self.on_broadcast = None     # broadcast delivery, fn(receiver_mask, frame)
         self.on_transmit = None      # accounting hook, fn(frame)
         self._link_break = {}        # node_id -> fn(dead_neighbor, frame)
         self._busy_until = [0] * node_count
@@ -119,23 +92,19 @@ class Radio:
     def in_range(self, a, b, t_us):
         ax, ay = self.mobility.position(a, t_us)
         bx, by = self.mobility.position(b, t_us)
+        dx, dy = ax - bx, ay - by
         r = self.link.range_m
-        return (ax - bx) ** 2 + (ay - by) ** 2 <= r * r
+        return dx * dx + dy * dy <= r * r
 
-    def neighbors(self, node, t_us):
-        """Nodes within Euclidean distance <= range, ascending, excluding
-        node itself."""
-        return self._neighborhood(node, t_us)[0]
-
-    def _neighborhood(self, node, t_us):
-        """neighbors() and the same set as a bit mask."""
-        xs, ys = self.mobility.positions_xy(t_us)
-        dx = xs - xs[node]
-        dy = ys - ys[node]
-        rsq = self.link.range_m * self.link.range_m
-        within = dx * dx + dy * dy <= rsq
-        within[node] = False
-        return within.nonzero()[0].tolist(), _bits(within)
+    def _reach(self, node, t_us):
+        """Nodes within Euclidean distance <= range of node at t_us, node
+        itself excluded, as an int bit mask."""
+        xy = self.mobility.positions_xy(t_us)
+        d = xy - xy[:, node, None]
+        d *= d
+        r = self.link.range_m
+        within = np.packbits(d[0] + d[1] <= r * r, bitorder="little")
+        return int.from_bytes(within, "little") & ~(1 << node)
 
     def register_link_break(self, node, callback):
         self._link_break[node] = callback
@@ -151,9 +120,9 @@ class Radio:
         self._busy_until[src] = start + air
         return start
 
-    def _note_signals(self, receivers, start, end, mask=None):
-        """Record an airtime interval heard at each receiver; returns it as
-        a Transmission.
+    def _note_signals(self, start, end, mask):
+        """Record an airtime interval heard at each receiver in mask; returns
+        it as a Transmission.
 
         Collisions are flagged eagerly: two transmissions whose airtimes
         overlap flag each other at every receiver that hears both, so the
@@ -161,9 +130,7 @@ class Radio:
         ended before now can never overlap a future send (whose start is
         >= now), so it is dropped.
         """
-        if mask is None:
-            mask = sum(1 << r for r in receivers)
-        tx = Transmission(start, end, receivers, mask)
+        tx = Transmission(start, end, mask)
         now = self.sim.now
         on_air = [tx]
         for other in self._on_air:
@@ -190,44 +157,31 @@ class Radio:
         if self.on_transmit is not None:
             self.on_transmit(frame)
         self.stats["tx_broadcast"] += 1
-        receivers, mask = self._neighborhood(src, sim.now)
-        if not receivers:
+        mask = self._reach(src, sim.now)
+        if not mask:
             return 0
-        if self.ideal:
-            tx = None
-        else:
-            tx = self._note_signals(receivers, start, end, mask)
+        tx = None if self.ideal else self._note_signals(start, end, mask)
         sim.at(end + self.link.per_hop_latency_us,
-               lambda: self._bcast_arrivals(src, receivers, tx, frame),
+               lambda: self._bcast_arrivals(src, mask, tx, frame),
                kind=EventKind.FRAME_ARRIVAL, target=src)
-        return len(receivers)
+        return mask.bit_count()
 
-    def _bcast_arrivals(self, src, receivers, tx, frame):
-        # Every verdict is taken before the first delivery: a receive cannot
-        # flag another copy of this frame, since whatever it sends starts
-        # after the frame ended, and positions do not change within now.
+    def _bcast_arrivals(self, src, mask, tx, frame):
+        # Every verdict is taken before the delivery: a receive cannot flag
+        # another copy of this frame, since whatever it sends starts after
+        # the frame ended, and positions do not change within now.
         stats = self.stats
-        if tx is not None and tx.collided:
-            collided = tx.collided
-            clean = [r for r in receivers if not collided >> r & 1]
-            stats["rx_collision"] += len(receivers) - len(clean)
+        clean = mask if tx is None else mask & ~tx.collided
+        if clean != mask:
+            stats["rx_collision"] += mask.bit_count() - clean.bit_count()
             if not clean:
                 return
-        else:
-            clean = receivers
-        xs, ys = self.mobility.positions_xy(self.sim.now)
-        dx = xs - xs[src]
-        dy = ys - ys[src]
-        d2 = (dx * dx + dy * dy).tolist()
-        rsq = self.link.range_m * self.link.range_m
-        heard = [r for r in clean if d2[r] <= rsq]
-        if len(heard) < len(clean):
-            stats["rx_out_of_range"] += len(clean) - len(heard)
+        heard = clean & self._reach(src, self.sim.now)
+        if heard != clean:
+            stats["rx_out_of_range"] += clean.bit_count() - heard.bit_count()
         if heard:
-            stats["rx_delivered"] += len(heard)
-        on_receive = self.on_receive
-        for r in heard:
-            on_receive(r, frame)
+            stats["rx_delivered"] += heard.bit_count()
+            self.on_broadcast(heard, frame)
 
     def unicast(self, src, dst, frame):
         """Send to a specific next hop with MAC retries.
@@ -248,12 +202,14 @@ class Radio:
         if self.on_transmit is not None:
             self.on_transmit(frame)
         self.stats["tx_unicast"] += 1
-        in_range_at_start = self.in_range(src, dst, sim.now)
         tx = None
-        if not self.ideal and in_range_at_start:
-            # The transmission is heard (and interferes) at every node in range.
-            nbrs, mask = self._neighborhood(src, sim.now)
-            tx = self._note_signals(nbrs, start, end, mask)
+        if self.ideal:
+            in_range_at_start = self.in_range(src, dst, sim.now)
+        else:
+            mask = self._reach(src, sim.now)
+            in_range_at_start = mask >> dst & 1
+            if in_range_at_start:   # heard (and interfering) at every node in range
+                tx = self._note_signals(start, end, mask)
         arrive = end + self.link.per_hop_latency_us
 
         def resolve():

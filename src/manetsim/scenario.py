@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 from .engine import US_PER_S, EventKind, RngStream, Simulator, to_us
 from .metrics import PacketTrace, summarize, write_trace_csv
 from .mobility import STATIC, FixedPositions, RandomWaypoint
-from .protocols import make_router
+from .protocols import connect, make_router
 from .radio import LinkModel, Radio
 from .traffic import TrafficGenerator, setup_flows
 
@@ -62,6 +62,14 @@ class ScenarioConfig:
             errors.append("need 0 < min_speed <= max_speed")
         if self.pause_time != STATIC and self.pause_time < 0:
             errors.append("pause_time must be >= 0 or static")
+        # The longest leg, a diagonal at min_speed or a pause, must end
+        # within the int64 microsecond clock.
+        diagonal = math.hypot(self.area_width, self.area_height)
+        leg_s = max(diagonal / self.min_speed if self.min_speed > 0 else 0.0,
+                    0.0 if self.pause_time == STATIC else self.pause_time)
+        if (self.sim_time + self.drain + leg_s) * US_PER_S >= 2 ** 63:
+            errors.append(f"legs at min_speed {self.min_speed} or pauses of "
+                          f"{self.pause_time} s overrun the microsecond clock")
         if not self.sim_time > self.warmup >= 0:
             errors.append("need sim_time > warmup >= 0")
         if self.n_flows < 1 or self.n_flows > self.node_count // 2:
@@ -116,7 +124,7 @@ def build_simulation(config, mobility=None):
                     flood_jitter_us=jitter)
         for node in range(config.node_count)
     ]
-    radio.on_receive = lambda node, frame: routers[node].handle_frame(frame)
+    connect(radio, routers)
     radio.on_transmit = _control_counter(trace)
 
     traffic_rng = RngStream(config.seed, "traffic")

@@ -5,7 +5,7 @@ import pytest
 from manetsim.engine import RngStream, Simulator
 from manetsim.metrics import PacketTrace
 from manetsim.mobility import FixedPositions
-from manetsim.protocols import make_router
+from manetsim.protocols import connect, make_router
 from manetsim.radio import LinkModel, Radio
 from manetsim.traffic import AppPacket
 
@@ -28,7 +28,7 @@ class Net:
                         flood_jitter_us=flood_jitter_us)
             for i in range(n)
         ]
-        self.radio.on_receive = lambda node, frame: self.routers[node].handle_frame(frame)
+        connect(self.radio, self.routers)
         for r in self.routers:
             r.start()
 

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import manetsim.sweep as sweep
 from manetsim.cli import load_config_file, main
@@ -40,7 +41,8 @@ def test_warmup_must_precede_sim_end():
 @pytest.mark.parametrize("name, value", [
     ("per_hop_latency", -0.01), ("drain", -50.0), ("retry_limit", -1),
     ("rate", math.nan), ("sim_time", math.inf), ("radio_range", math.inf),
-    ("area_width", math.nan), ("drain", math.nan)])
+    ("area_width", math.nan), ("drain", math.nan), ("min_speed", 1e-12),
+    ("pause_time", 1e14)])
 def test_validation_rejects_negative_and_non_finite(name, value):
     assert ScenarioConfig(**{name: value}).validate()
 
@@ -48,6 +50,36 @@ def test_validation_rejects_negative_and_non_finite(name, value):
 def test_static_pause_is_accepted():
     assert ScenarioConfig(pause_time=STATIC).validate() == []
     assert ScenarioConfig(pause_time=-1.0).validate()
+
+
+positive = dict(allow_nan=False, allow_infinity=False, exclude_min=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocol=st.sampled_from(["DSDV", "AODV", "DSR"]),
+       mac_mode=st.sampled_from(["realistic", "ideal"]),
+       node_count=st.integers(2, 8),
+       speeds=st.tuples(st.floats(0.0, 100.0, **positive),
+                        st.floats(0.0, 100.0, **positive)).map(sorted),
+       pause_time=st.one_of(st.just(STATIC), st.floats(0.0, 1e15)),
+       # Below about a millimetre every leg lasts a microsecond or so, and a
+       # run takes minutes; that is slow, not a validation hole.
+       area=st.tuples(st.floats(1.0, 1e6), st.floats(1.0, 1e6)),
+       radio_range=st.floats(0.0, 1e4, **positive),
+       per_hop_latency=st.floats(0.0, 1.0),
+       sim_time=st.floats(0.5, 5.0))
+def test_valid_config_runs_to_completion(protocol, mac_mode, node_count, speeds,
+                                         pause_time, area, radio_range,
+                                         per_hop_latency, sim_time):
+    """validate() == [] implies that run_scenario completes."""
+    config = ScenarioConfig(
+        protocol=protocol, mac_mode=mac_mode, node_count=node_count, n_flows=1,
+        min_speed=speeds[0], max_speed=speeds[1], pause_time=pause_time,
+        area_width=area[0], area_height=area[1], radio_range=radio_range,
+        per_hop_latency=per_hop_latency, sim_time=sim_time, warmup=0.0,
+        drain=0.5, seed=3)
+    if config.validate() == []:
+        run_scenario(config)
 
 
 def test_config_file_parsing(tmp_path):

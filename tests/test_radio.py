@@ -11,6 +11,11 @@ from manetsim.radio import BROADCAST, Frame, LinkModel, Radio
 US = 1_000_000
 
 
+def nodes(mask):
+    """The set bits of a receiver mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def make_radio(positions, ideal=False, range_m=250.0, retry_limit=3):
     sim = Simulator()
     mob = FixedPositions(positions)
@@ -18,6 +23,8 @@ def make_radio(positions, ideal=False, range_m=250.0, retry_limit=3):
                   ideal=ideal, retry_limit=retry_limit)
     inbox = []
     radio.on_receive = lambda node, frame: inbox.append((sim.now, node, frame))
+    radio.on_broadcast = lambda mask, frame: inbox.extend(
+        (sim.now, node, frame) for node in nodes(mask))
     return sim, radio, inbox
 
 
@@ -46,9 +53,7 @@ def test_neighbors_matches_brute_force_oracle():
             j for j in range(40) if j != node
             and math.dist(positions[node], positions[j]) <= 250.0
         }
-        got = radio.neighbors(node, 0)
-        assert got == sorted(got)
-        assert set(got) == oracle
+        assert set(nodes(radio._reach(node, 0))) == oracle
 
 
 @settings(max_examples=30, deadline=None)
@@ -60,7 +65,7 @@ def test_neighbors_oracle_random_layouts(positions):
     for node in range(n):
         oracle = {j for j in range(n) if j != node
                   and math.dist(positions[node], positions[j]) <= 250.0}
-        assert set(radio.neighbors(node, 0)) == oracle
+        assert set(nodes(radio._reach(node, 0))) == oracle
 
 
 def test_broadcast_reaches_only_nodes_in_range():
@@ -112,12 +117,9 @@ def test_collision_with_merged_busy_region():
     # A and B overlap and merge; C overlaps only the merged region and must
     # still be flagged.
     _, radio, _ = make_radio([(0, 0), (100, 0)])
-    (a,) = radio._note_signals([1], 0, 1000)
-    (b,) = radio._note_signals([1], 500, 1500)
-    (c,) = radio._note_signals([1], 1400, 2000)
-    (d,) = radio._note_signals([1], 3000, 4000)
-    assert a[2] and b[2] and c[2]
-    assert not d[2]
+    a, b, c, d = (radio._note_signals(start, end, 1 << 1)
+                  for start, end in ((0, 1000), (500, 1500), (1400, 2000), (3000, 4000)))
+    assert [tx.collided for tx in (a, b, c, d)] == [1 << 1, 1 << 1, 1 << 1, 0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,14 +136,14 @@ def test_collision_flags_match_pairwise_overlap(sends):
     for now, delay, air, receivers in sorted(sends, key=lambda send: send[0]):
         sim.now = now                 # sends are noted in time order
         start = now + delay
-        receivers = sorted(receivers)
-        recs = radio._note_signals(receivers, start, start + air)
-        noted.append((start, start + air, receivers, recs))
-    for i, (start, end, receivers, recs) in enumerate(noted):
-        for k, r in enumerate(receivers):
+        tx = radio._note_signals(start, start + air, sum(1 << r for r in receivers))
+        noted.append((start, start + air, receivers, tx))
+    for i, (start, end, receivers, tx) in enumerate(noted):
+        assert tx.collided & ~tx.mask == 0
+        for r in receivers:
             expected = any(r in others and s < end and e > start
                            for j, (s, e, others, _) in enumerate(noted) if j != i)
-            assert bool(recs[k][2]) == expected
+            assert bool(tx.collided >> r & 1) == expected
 
 
 def test_unicast_delivers_and_counts():
