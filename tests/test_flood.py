@@ -9,14 +9,12 @@ from manetsim.radio import Frame
 
 from conftest import Net
 
-US = 1_000_000
-
 # 0 reaches 1 and 2, which both reach 3; 0 and 3 are out of range of each
 # other, so 3 hears every request of 0 twice.  4 is out of everyone's range.
 DIAMOND = [(0, 0), (150, 100), (150, -100), (300, 0), (10_000, 0)]
 
 
-def watch(net, protocol):
+def watch(net):
     """Log the RREQ copies reaching node 3, the requests node 3 handles and
     every RREQ transmission."""
     rreq_kind = net.routers[0].rreq_kind
@@ -40,7 +38,7 @@ def watch(net, protocol):
 @pytest.mark.parametrize("protocol", ["AODV", "DSR"])
 def test_second_copy_of_a_request_is_neither_handled_nor_rebroadcast(protocol):
     net = Net(DIAMOND, protocol=protocol)
-    arrivals, handled, sent = watch(net, protocol)
+    arrivals, handled, sent = watch(net)
     net.routers[0].originate_rreq(4)
     net.run(0.5)
     assert len(arrivals) == 2
@@ -55,7 +53,7 @@ def test_second_copy_of_a_request_is_neither_handled_nor_rebroadcast(protocol):
 @pytest.mark.parametrize("protocol", ["AODV", "DSR"])
 def test_retry_with_new_request_id_is_handled_afresh(protocol):
     net = Net(DIAMOND, protocol=protocol)
-    arrivals, handled, sent = watch(net, protocol)
+    arrivals, handled, sent = watch(net)
     net.routers[0].originate_rreq(4)
     net.run(0.5)
     net.routers[0].originate_rreq(4)
