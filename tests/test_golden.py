@@ -6,8 +6,11 @@ protocol on a fixed placement.  Any change to an output byte of ``raw.csv``
 or of a trace fails the test.  The radio's counters (``Radio.stats``) do
 not reach those outputs, so the counters of the 40-node pause-0 cells are
 locked as well, with one more such cell per protocol on slow, fast-moving
-links (SLOW), where frames also arrive after their receiver left range.  A
-change that alters behaviour on purpose regenerates ``golden.json`` with
+links (SLOW), where frames also arrive after their receiver left range.
+The movement traces (``movement.csv``) of 20-node runs at every pause are
+locked under MOVE_KEY, so that the writer of that file can change without
+changing its bytes.  A change that alters behaviour on purpose regenerates
+``golden.json`` with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -40,6 +43,11 @@ FIXED = dataclasses.replace(BASE, node_count=30, n_flows=8, mac_mode="ideal",
 SLOW = dataclasses.replace(BASE, node_count=40, pause_time=0.0, max_speed=20.0,
                            per_hop_latency=0.05)
 STATS_KEY = "radio_stats"
+MOVE_KEY = "movement"
+# (protocol, pause, interval in seconds) of the movement-trace cells; 0.3 s
+# does not divide the 40 s run, so the last sample falls short of its end.
+MOVE_CELLS = [(protocol, pause, 1.0) for protocol in GRID.protocols
+              for pause in GRID.pause_times] + [("DSR", 0.0, 0.3)]
 
 
 def _sha256(path):
@@ -60,10 +68,24 @@ def _fixed_cells(out):
     write_raw_csv(rows, out / "raw_fixed.csv")
 
 
+def _movement_cells(out):
+    """{cell: sha256 of its movement.csv} for MOVE_CELLS."""
+    digests = {}
+    for protocol, pause, interval in MOVE_CELLS:
+        config = dataclasses.replace(BASE, protocol=protocol, node_count=20,
+                                     pause_time=pause)
+        cell = f"{protocol}-n20-p{'static' if pause == STATIC else f'{pause:g}'}-i{interval:g}"
+        path = out / f"movement_{cell}.csv"
+        run_scenario(config, move_trace_path=str(path), move_trace_interval=interval)
+        digests[cell] = _sha256(path)
+    return digests
+
+
 def golden_outputs(out_dir):
     """{output file name: sha256} for the grid and the fixed cells, plus
     under STATS_KEY {cell: radio counters} of the 40-node pause-0 cells
-    of the grid and of SLOW."""
+    of the grid and of SLOW, and under MOVE_KEY {cell: sha256} of the
+    movement traces."""
     out = Path(out_dir)
     stats = {}
     build = scenario.build_simulation
@@ -85,6 +107,7 @@ def golden_outputs(out_dir):
                if p.name.startswith(("raw", "trace_"))}
     outputs[STATS_KEY] = {cell: dict(sorted(counts.items()))
                           for cell, counts in sorted(stats.items())}
+    outputs[MOVE_KEY] = _movement_cells(out)
     return outputs
 
 
@@ -97,7 +120,7 @@ def golden(tmp_path_factory):
 
 def test_outputs_match_golden_digests(golden):
     want, got = golden
-    names = (want.keys() | got.keys()) - {STATS_KEY}
+    names = (want.keys() | got.keys()) - {STATS_KEY, MOVE_KEY}
     differ = sorted(name for name in names if want.get(name) != got.get(name))
     assert not differ, f"outputs differ from {GOLDEN.name}: {differ}"
 
@@ -109,9 +132,16 @@ def test_radio_counters_match_golden(golden):
     assert got[STATS_KEY] == want[STATS_KEY]
 
 
+def test_movement_traces_match_golden(golden):
+    want, got = golden
+    assert len(got[MOVE_KEY]) == len(MOVE_CELLS)
+    assert got[MOVE_KEY] == want[MOVE_KEY]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = golden_outputs(tmp)
     GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(outputs) - 1} digests and the radio counters to {GOLDEN}",
+    print(f"wrote {len(outputs) - 2} digests, the radio counters and the "
+          f"movement digests to {GOLDEN}",
           file=sys.stderr)
