@@ -1,0 +1,65 @@
+"""The benchmark's tracer still sees every layer of a run.
+
+``benchmark/tracer.py`` patches, from outside the program, the names
+through which one layer calls another: ``Simulator.schedule``, ``cancel``
+and ``run_until``, the mobility queries, and the entry points of the radio,
+the routers, traffic, metrics and the scenario.  A change in ``src/`` that
+renames one of them, or schedules an event around ``schedule``, leaves a
+layer out of the benchmark's per-layer metrics without failing anything
+else.  This test runs the tracer, unedited, around one short realistic-MAC
+scenario per protocol.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from manetsim import scenario
+from manetsim.engine import Simulator
+from manetsim.scenario import ScenarioConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+try:
+    import tracer
+finally:
+    sys.path.pop(0)
+
+CONFIG = dict(node_count=20, n_flows=4, sim_time=20.0, warmup=5.0, seed=1,
+              pause_time=0.0, mac_mode="realistic")
+
+
+def _patch_targets():
+    """{(owner, name): what the owner holds under that name} for every
+    name the tracer patches."""
+    targets = [(cls, name) for cls, _layer, names in tracer.CLASS_ENTRIES
+               for name in names]
+    targets += [(Simulator, "schedule"), (tracer.DsdvRouter, "handle_update"),
+                (tracer.AodvRouter, "handle_rreq"), (tracer.DsrRouter, "handle_rreq")]
+    targets += [(ns, name) for _layer, name, namespaces in tracer.FUNCTION_ENTRIES
+                for ns in namespaces]
+    return {(owner, name): vars(owner).get(name) for owner, name in targets}
+
+
+@pytest.mark.parametrize("protocol", ["DSDV", "AODV", "DSR"])
+def test_tracer_sees_every_layer(protocol, monkeypatch):
+    returned = []
+    run_until = Simulator.run_until
+
+    def run_until_kept(sim, end):
+        dispatched = run_until(sim, end)
+        returned.append(dispatched)
+        return dispatched
+
+    monkeypatch.setattr(Simulator, "run_until", run_until_kept)
+    before = _patch_targets()
+    t = tracer.Tracer()
+    with t.installed():
+        scenario.run_scenario(ScenarioConfig(protocol=protocol, **CONFIG))
+
+    for span in ("engine.schedule", "radio.event", "traffic.event",
+                 f"{protocol.lower()}.event", "mobility.positions_xy"):
+        assert t.span_count(span) > 0, span
+    assert len(returned) == 1 and returned[0] > 0
+    assert t.counts["events"] == returned[0]
+    assert _patch_targets() == before
