@@ -2,13 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .engine import Simulator, Event, EventKind, RngStream, SchedulingInPast
+from .engine import Simulator, Event, RngStream, SchedulingInPast
 from .scenario import ScenarioConfig, ConfigInvalid, run_scenario
 
 __all__ = [
     "Simulator",
     "Event",
-    "EventKind",
     "RngStream",
     "SchedulingInPast",
     "ScenarioConfig",

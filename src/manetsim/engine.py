@@ -8,7 +8,7 @@ are broken by insertion order.
 import hashlib
 import heapq
 import random
-from enum import Enum
+from itertools import count
 
 US_PER_S = 1_000_000
 
@@ -27,32 +27,15 @@ class SchedulingInPast(Exception):
     """Raised when an event is scheduled before the current clock."""
 
 
-class EventKind(Enum):
-    FRAME_ARRIVAL = "frame_arrival"
-    TIMER_EXPIRY = "timer_expiry"
-    MOBILITY_UPDATE = "mobility_update"
-    TRAFFIC_TICK = "traffic_tick"
-    SIMULATION_END = "simulation_end"
-
-
 class Event:
-    """A timed occurrence, ordered by (fire_at, seq).
+    """A callable ``payload`` due at ``fire_at``; the object returned by
+    ``Simulator.at`` doubles as the cancellation handle."""
 
-    The returned object doubles as the cancellation handle.  If ``payload``
-    is callable it is invoked on dispatch, otherwise the event is handed to
-    the simulator's registered handler.
-    """
+    __slots__ = ("fire_at", "payload")
 
-    __slots__ = ("fire_at", "kind", "target", "payload", "seq", "cancelled", "fired")
-
-    def __init__(self, fire_at, kind=EventKind.TIMER_EXPIRY, target=-1, payload=None):
+    def __init__(self, fire_at, payload):
         self.fire_at = fire_at
-        self.kind = kind
-        self.target = target
         self.payload = payload
-        self.seq = -1
-        self.cancelled = False
-        self.fired = False
 
 
 def _stream_seed(master_seed, stream_id):
@@ -79,12 +62,10 @@ class RngStream(random.Random):
 class Simulator:
     """Single-threaded event loop with a monotone virtual clock."""
 
-    def __init__(self, log_dispatch=False):
+    def __init__(self):
         self.now = 0
         self._heap = []
-        self._next_seq = 0
-        self.handler = None
-        self.dispatch_log = [] if log_dispatch else None
+        self._seq = count()
 
     def schedule(self, event):
         """Enqueue *event*; returns it as a cancellation handle."""
@@ -92,24 +73,20 @@ class Simulator:
             raise SchedulingInPast(
                 f"fire_at {event.fire_at} < clock {self.now}"
             )
-        event.seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (event.fire_at, event.seq, event))
+        heapq.heappush(self._heap, (event.fire_at, next(self._seq), event))
         return event
 
-    def at(self, fire_at, fn, kind=EventKind.TIMER_EXPIRY, target=-1):
+    def at(self, fire_at, fn):
         """Schedule callable *fn* at absolute time *fire_at* (microseconds)."""
-        return self.schedule(Event(fire_at, kind, target, fn))
+        return self.schedule(Event(fire_at, fn))
 
-    def after(self, delay, fn, kind=EventKind.TIMER_EXPIRY, target=-1):
-        return self.at(self.now + delay, fn, kind, target)
+    def after(self, delay, fn):
+        return self.at(self.now + delay, fn)
 
     def cancel(self, handle):
-        """Cancel a pending event.  Returns False if it already fired."""
-        if handle.fired or handle.cancelled:
-            return False
-        handle.cancelled = True
-        return True
+        """Cancel a pending event; cancelling it again, or after it fired,
+        changes nothing."""
+        handle.payload = None
 
     def run_until(self, end):
         """Dispatch every event with fire_at <= end; clock ends at *end*.
@@ -117,21 +94,14 @@ class Simulator:
         Returns the number of dispatched (non-cancelled) events.
         """
         heap = self._heap
-        log = self.dispatch_log
-        count = 0
+        dispatched = 0
         while heap and heap[0][0] <= end:
             fire_at, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
+            payload = event.payload
+            if payload is None:
                 continue
             self.now = fire_at
-            event.fired = True
-            if log is not None:
-                log.append((fire_at, event.seq, event.kind.value, event.target))
-            count += 1
-            payload = event.payload
-            if callable(payload):
-                payload()
-            else:
-                self.handler(event)
+            dispatched += 1
+            payload()
         self.now = end
-        return count
+        return dispatched

@@ -48,16 +48,10 @@ class RandomWaypoint:
         self.height = height
         self.min_speed = min_speed
         self.max_speed = max_speed
-        init_rng = RngStream(seed, "mobility:init")
-        start = init_positions(node_count, init_rng, width, height)
-        self.static = pause_time == STATIC
+        start = init_positions(node_count, RngStream(seed, "mobility:init"),
+                               width, height)
         self._memo_t = -1
         self._memo_xy = None
-        if self.static:
-            self._fixed = start
-            self._fxy = np.array([[p[0] for p in start], [p[1] for p in start]])
-            return
-        self._fixed = None
         self._pause_us = int(round(pause_time * US_PER_S))
         self._rngs = [RngStream(seed, f"mobility:{i}") for i in range(node_count)]
         # Leg endpoints as (2, node_count) arrays of x and y rows; _x0 and
@@ -124,26 +118,21 @@ class RandomWaypoint:
     def positions_xy(self, t_us):
         """Positions of all nodes at t_us as a (2, node_count) array of x
         and y rows; it unpacks as ``xs, ys``."""
-        if self.static:
-            return self._fxy
         self._eval(t_us)
         return self._memo_xy
 
     def position(self, node, t_us):
-        if self.static:
-            return self._fixed[node]
         self._eval(t_us)
         return tuple(self._memo_xy[:, node].tolist())
 
     def positions(self, t_us):
-        if self.static:
-            return self._fixed
         self._eval(t_us)
         return list(zip(*self._memo_xy.tolist()))
 
 
 class FixedPositions:
-    """Scripted placement for tests: positions only change via move()."""
+    """Fixed placement of a static network, or one scripted by a test;
+    positions only change via move()."""
 
     def __init__(self, positions):
         self._pos = [tuple(p) for p in positions]

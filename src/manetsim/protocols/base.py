@@ -116,7 +116,7 @@ class RoutingProtocol:
             if delay == 0:
                 fn()
             else:
-                self.sim.after(delay, fn, target=self.node_id)
+                self.sim.after(delay, fn)
 
     # -- hop-by-hop forwarding (DSDV, AODV) ---------------------------
 
@@ -180,8 +180,7 @@ class ReactiveProtocol(RoutingProtocol):
             return
         self.originate_rreq(dest)
         timer = self.sim.after(DISCOVERY_TIMEOUT_US,
-                               lambda: self._discovery_timeout(dest),
-                               target=self.node_id)
+                               lambda: self._discovery_timeout(dest))
         self.pending[dest] = [0, timer]
 
     def _discovery_timeout(self, dest):
@@ -195,8 +194,7 @@ class ReactiveProtocol(RoutingProtocol):
             state[0] += 1
             self.originate_rreq(dest)
             state[1] = self.sim.after(DISCOVERY_TIMEOUT_US,
-                                      lambda: self._discovery_timeout(dest),
-                                      target=self.node_id)
+                                      lambda: self._discovery_timeout(dest))
         else:
             del self.pending[dest]
             for _ in self.buffers.pop(dest, ()):

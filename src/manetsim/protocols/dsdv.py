@@ -75,15 +75,14 @@ class DsdvRouter(RoutingProtocol):
 
     def start(self):
         first = self.rng.randrange(FIRST_ADVERTISE_MAX_US + 1)
-        self.sim.at(first, self._periodic, target=self.node_id)
+        self.sim.at(first, self._periodic)
 
     # -- advertising --------------------------------------------------
 
     def _periodic(self):
         self.periodic_advertise()
         jitter = 1.0 + ADVERTISE_JITTER * (2.0 * self.rng.random() - 1.0)
-        self.sim.after(int(ADVERTISE_INTERVAL_US * jitter), self._periodic,
-                       target=self.node_id)
+        self.sim.after(int(ADVERTISE_INTERVAL_US * jitter), self._periodic)
 
     def periodic_advertise(self):
         """Bump own sequence number by two (stays even) and dump the table."""
@@ -118,7 +117,7 @@ class DsdvRouter(RoutingProtocol):
             self._jittered(self._dump_if_pending)
         else:
             self._trigger_pending = True
-            self.sim.at(due, self._dump_if_pending, target=self.node_id)
+            self.sim.at(due, self._dump_if_pending)
 
     def _dump_if_pending(self):
         if self._trigger_pending:

@@ -14,8 +14,6 @@ from collections import Counter
 
 import numpy as np
 
-from .engine import EventKind
-
 BROADCAST = -1
 
 DEFAULT_RANGE_M = 250.0        # nominal two-ray-ground range at default power
@@ -162,8 +160,7 @@ class Radio:
             return 0
         tx = None if self.ideal else self._note_signals(start, end, mask)
         sim.at(end + self.link.per_hop_latency_us,
-               lambda: self._bcast_arrivals(src, mask, tx, frame),
-               kind=EventKind.FRAME_ARRIVAL, target=src)
+               lambda: self._bcast_arrivals(src, mask, tx, frame))
         return mask.bit_count()
 
     def _bcast_arrivals(self, src, mask, tx, frame):
@@ -229,4 +226,4 @@ class Radio:
                 if cb is not None:
                     cb(dst, frame)
 
-        sim.at(arrive, resolve, kind=EventKind.FRAME_ARRIVAL, target=dst)
+        sim.at(arrive, resolve)

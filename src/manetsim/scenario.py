@@ -3,11 +3,12 @@ from a ScenarioConfig and run one simulation."""
 
 import gc
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from .engine import US_PER_S, EventKind, RngStream, Simulator, to_us
+from .engine import US_PER_S, RngStream, Simulator, to_us
 from .metrics import PacketTrace, summarize, write_trace_csv
-from .mobility import STATIC, FixedPositions, RandomWaypoint
+from .mobility import (STATIC, FixedPositions, RandomWaypoint, init_positions,
+                       write_movement_trace)
 from .protocols import connect, make_router
 from .radio import LinkModel, Radio
 from .traffic import TrafficGenerator, setup_flows
@@ -101,17 +102,27 @@ class ScenarioConfig:
             raise ConfigInvalid(errors)
 
 
+def build_mobility(config):
+    """The movement model *config* describes, at t=0: a fixed placement
+    drawn from the seed for a static network, random waypoint otherwise."""
+    if config.pause_time == STATIC:
+        return FixedPositions(init_positions(
+            config.node_count, RngStream(config.seed, "mobility:init"),
+            config.area_width, config.area_height))
+    return RandomWaypoint(
+        config.node_count, config.area_width, config.area_height,
+        config.max_speed, config.seed, min_speed=config.min_speed,
+        pause_time=config.pause_time,
+    )
+
+
 def build_simulation(config, mobility=None):
     """Wire up one run; returns (sim, radio, routers, trace, flows)."""
     config.check()
     sim = Simulator()
     trace = PacketTrace()
     if mobility is None:
-        mobility = RandomWaypoint(
-            config.node_count, config.area_width, config.area_height,
-            config.max_speed, config.seed, min_speed=config.min_speed,
-            pause_time=config.pause_time,
-        )
+        mobility = build_mobility(config)
     ideal = config.mac_mode == "ideal"
     link = LinkModel(config.radio_range, config.bandwidth,
                      to_us(config.per_hop_latency))
@@ -149,9 +160,12 @@ def run_scenario(config, trace_path=None, move_trace_path=None,
 
     Metrics are computed over packets generated in [warmup, sim_time]; the
     engine runs a short drain past sim_time so in-flight packets can land.
+    A *mobility* model passed in replaces the one the config describes.  It
+    must answer position queries at any time, because the movement trace
+    samples it again from t=0 once the run is over; without one, the trace
+    samples a fresh model built from the config.
     """
-    move_rows = [] if move_trace_path else None
-    trace = _simulate(config, mobility, move_rows, move_trace_interval)
+    trace = _simulate(config, mobility)
     # A finished simulation is a web of reference cycles (routers, radio and
     # engine point at each other, and pending events at all three), so only
     # the cycle collector frees it; collect now, so that a sweep holds one
@@ -163,33 +177,18 @@ def run_scenario(config, trace_path=None, move_trace_path=None,
     if trace_path:
         write_trace_csv(trace, trace_path)
     if move_trace_path:
-        with open(move_trace_path, "w") as fh:
-            fh.write("time,node,x,y\n")
-            for t, node, x, y in move_rows:
-                fh.write(f"{t / US_PER_S:.6f},{node},{x:.3f},{y:.3f}\n")
+        if mobility is None:
+            mobility = build_mobility(config)
+        write_movement_trace(move_trace_path, mobility, to_us(config.sim_time),
+                             to_us(move_trace_interval))
     return record, trace
 
 
-def _simulate(config, mobility, move_rows, move_trace_interval):
-    """Build and run one simulation; returns its PacketTrace.  Samples
-    positions into move_rows unless it is None."""
+def _simulate(config, mobility):
+    """Build and run one simulation; returns its PacketTrace."""
     sim, radio, routers, trace, flows, generator = build_simulation(config, mobility)
     for router in routers:
         router.start()
     generator.start()
-
-    if move_rows is not None:
-        interval_us = to_us(move_trace_interval)
-
-        def sample():
-            t = sim.now
-            for node in range(config.node_count):
-                x, y = radio.mobility.position(node, t)
-                move_rows.append((t, node, x, y))
-            if t + interval_us <= to_us(config.sim_time):
-                sim.after(interval_us, sample, kind=EventKind.MOBILITY_UPDATE)
-
-        sim.at(0, sample, kind=EventKind.MOBILITY_UPDATE)
-
     sim.run_until(to_us(config.sim_time + config.drain))
     return trace

@@ -1,6 +1,6 @@
 """Constant-bit-rate application traffic over seeded source-sink pairs."""
 
-from .engine import US_PER_S, EventKind, to_us
+from .engine import US_PER_S, to_us
 
 DEFAULT_N_FLOWS = 10
 DEFAULT_RATE_PPS = 4.0
@@ -70,8 +70,7 @@ class TrafficGenerator:
 
     def start(self):
         for flow in self.flows:
-            self.sim.at(flow.start_us, self._make_tick(flow),
-                        kind=EventKind.TRAFFIC_TICK, target=flow.src)
+            self.sim.at(flow.start_us, self._make_tick(flow))
 
     def _make_tick(self, flow):
         period_us = int(round(US_PER_S / flow.rate))
@@ -87,7 +86,6 @@ class TrafficGenerator:
             self.trace.record_generated(flow.flow_id, seq, now, flow.packet_size)
             self.send_fn(flow.src, pkt)
             if now + period_us < flow.stop_us:
-                self.sim.at(now + period_us, tick,
-                            kind=EventKind.TRAFFIC_TICK, target=flow.src)
+                self.sim.at(now + period_us, tick)
 
         return tick

@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim.engine import (Event, EventKind, RngStream, SchedulingInPast,
-                             Simulator, to_s, to_us)
+from manetsim.engine import RngStream, SchedulingInPast, Simulator, to_s, to_us
 
 
 def test_unit_conversions_round_trip():
@@ -53,17 +52,22 @@ def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
     handle = sim.at(100, lambda: fired.append("no"))
-    assert sim.cancel(handle) is True
-    assert sim.cancel(handle) is False  # already cancelled
-    sim.run_until(200)
-    assert fired == []
+    sim.at(150, lambda: fired.append("yes"))
+    sim.cancel(handle)
+    sim.cancel(handle)  # a second cancel changes nothing
+    assert sim.run_until(200) == 1
+    assert fired == ["yes"]
 
 
-def test_cancel_after_fire_returns_false():
+def test_cancel_after_fire_changes_nothing():
     sim = Simulator()
-    handle = sim.at(100, lambda: None)
+    fired = []
+    handle = sim.at(100, lambda: fired.append(sim.now))
+    sim.at(300, lambda: fired.append(sim.now))
     sim.run_until(200)
-    assert sim.cancel(handle) is False
+    sim.cancel(handle)
+    assert sim.run_until(400) == 1
+    assert fired == [100, 300]
 
 
 def test_run_until_returns_dispatch_count():
@@ -81,22 +85,6 @@ def test_events_scheduled_during_dispatch_run_same_call():
     sim.at(10, lambda: (out.append("a"), sim.at(10, lambda: out.append("b"))))
     sim.run_until(10)
     assert out == ["a", "b"]
-
-
-def test_non_callable_payload_goes_to_handler():
-    sim = Simulator()
-    seen = []
-    sim.handler = lambda ev: seen.append(ev.payload)
-    sim.schedule(Event(5, EventKind.FRAME_ARRIVAL, target=3, payload="frame"))
-    sim.run_until(10)
-    assert seen == ["frame"]
-
-
-def test_dispatch_log_records_fired_events():
-    sim = Simulator(log_dispatch=True)
-    sim.at(7, lambda: None, kind=EventKind.TRAFFIC_TICK, target=2)
-    sim.run_until(10)
-    assert sim.dispatch_log == [(7, 0, "traffic_tick", 2)]
 
 
 def test_rng_stream_reproducible_and_labelled():

@@ -9,6 +9,7 @@ from manetsim.engine import RngStream
 from manetsim.mobility import (DEFAULT_MIN_SPEED, STATIC, FixedPositions,
                                InvalidNodeCount, RandomWaypoint,
                                init_positions, write_movement_trace)
+from manetsim.scenario import ScenarioConfig, build_mobility
 
 US = 1_000_000
 
@@ -42,8 +43,10 @@ def test_different_seed_differs():
 
 
 def test_static_mode_never_moves():
-    m = RandomWaypoint(20, 500, 500, 10.0, seed=3, pause_time=STATIC)
+    m = build_mobility(ScenarioConfig(node_count=20, seed=3, pause_time=STATIC))
     start = list(m.positions(0))
+    # A static network is placed where a mobile one of the same seed starts.
+    assert start == RandomWaypoint(20, 500, 500, 10.0, seed=3).positions(0)
     assert list(m.positions(90 * US)) == start
     assert m.position(7, 55 * US) == start[7]
 
