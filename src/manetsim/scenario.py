@@ -117,7 +117,7 @@ def build_mobility(config):
 
 
 def build_simulation(config, mobility=None):
-    """Wire up one run; returns (sim, radio, routers, trace, flows)."""
+    """Wire up one run; returns (sim, radio, routers, trace, flows, generator)."""
     config.check()
     sim = Simulator()
     trace = PacketTrace()
