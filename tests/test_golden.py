@@ -9,7 +9,10 @@ locked as well, with one more such cell per protocol on slow, fast-moving
 links (SLOW), where frames also arrive after their receiver left range.
 The movement traces (``movement.csv``) of 20-node runs at every pause are
 locked under MOVE_KEY, so that the writer of that file can change without
-changing its bytes.  A change that alters behaviour on purpose regenerates
+changing its bytes.  Under WIDE_KEY, the ``raw.csv`` of one 70-node cell
+per protocol locks runs whose receiver masks and node ids pass 64 bits,
+where a numpy integer in place of a Python one breaks the radio's mask
+shifts.  A change that alters behaviour on purpose regenerates
 ``golden.json`` with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -44,6 +47,9 @@ SLOW = dataclasses.replace(BASE, node_count=40, pause_time=0.0, max_speed=20.0,
                            per_hop_latency=0.05)
 STATS_KEY = "radio_stats"
 MOVE_KEY = "movement"
+WIDE_KEY = "raw_n70"
+WIDE = SweepSpec(protocols=GRID.protocols, node_counts=[70], pause_times=[0.0],
+                 seeds_per_cell=1)
 # (protocol, pause, interval in seconds) of the movement-trace cells; 0.3 s
 # does not divide the 40 s run, so the last sample falls short of its end.
 MOVE_CELLS = [(protocol, pause, 1.0) for protocol in GRID.protocols
@@ -84,8 +90,9 @@ def _movement_cells(out):
 def golden_outputs(out_dir):
     """{output file name: sha256} for the grid and the fixed cells, plus
     under STATS_KEY {cell: radio counters} of the 40-node pause-0 cells
-    of the grid and of SLOW, and under MOVE_KEY {cell: sha256} of the
-    movement traces."""
+    of the grid and of SLOW, under MOVE_KEY {cell: sha256} of the
+    movement traces, and under WIDE_KEY the sha256 of the raw.csv of
+    WIDE."""
     out = Path(out_dir)
     stats = {}
     build = scenario.build_simulation
@@ -108,6 +115,10 @@ def golden_outputs(out_dir):
     outputs[STATS_KEY] = {cell: dict(sorted(counts.items()))
                           for cell, counts in sorted(stats.items())}
     outputs[MOVE_KEY] = _movement_cells(out)
+    wide = out / "wide"
+    _rows, failures = run_sweep(WIDE, BASE, str(wide))
+    assert failures == []
+    outputs[WIDE_KEY] = _sha256(wide / "raw.csv")
     return outputs
 
 
@@ -142,6 +153,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = golden_outputs(tmp)
     GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(outputs) - 2} digests, the radio counters and the "
-          f"movement digests to {GOLDEN}",
+    print(f"wrote {len(outputs) - 3} digests, the radio counters, the "
+          f"movement digests and the 70-node digest to {GOLDEN}",
           file=sys.stderr)
