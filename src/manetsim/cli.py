@@ -197,12 +197,7 @@ def _cmd_plotdata(args):
 
 
 def _cmd_validate(args):
-    config = build_config(args)
-    errors = config.validate()
-    if errors:
-        for error in errors:
-            print(f"config error: {error}", file=sys.stderr)
-        return 1
+    build_config(args).check()
     print("config ok")
     return 0
 

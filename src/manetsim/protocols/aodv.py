@@ -39,6 +39,10 @@ class AodvEntry:
         self.expires_at = expires_at
         self.valid = True
 
+    def usable(self, now):
+        """A route forwards and answers requests while valid and unexpired."""
+        return self.valid and now < self.expires_at
+
 
 class Rreq:
     __slots__ = ("origin", "rreq_id", "dest", "dest_seq_known", "origin_seq",
@@ -82,12 +86,10 @@ class AodvRouter(ReactiveProtocol):
         fewer hops.  Returns True when the table changed."""
         cur = self.table.get(dest)
         if cur is not None:
-            if cur.valid and self.sim.now < cur.expires_at:
-                if not _fresher(dest_seq, cur.dest_seq):
-                    same = dest_seq == cur.dest_seq or (dest_seq is None
-                                                        and cur.dest_seq is None)
-                    if not (same and hops < cur.hops):
-                        return False
+            if cur.usable(self.sim.now):
+                if not (_fresher(dest_seq, cur.dest_seq)
+                        or dest_seq == cur.dest_seq and hops < cur.hops):
+                    return False
             else:
                 # A broken route is replaced only by one at least as fresh.
                 if cur.dest_seq is not None and dest_seq is not None \
@@ -110,7 +112,7 @@ class AodvRouter(ReactiveProtocol):
         if dest == self.node_id:
             return self.node_id
         entry = self.table.get(dest)
-        if entry is None or not entry.valid or self.sim.now >= entry.expires_at:
+        if entry is None or not entry.usable(self.sim.now):
             return None
         entry.expires_at = self.sim.now + ACTIVE_ROUTE_TIMEOUT_US
         return entry.next_hop
@@ -142,7 +144,7 @@ class AodvRouter(ReactiveProtocol):
                                self._frame(prev_hop, RREP_BYTES, RREP, reply))
             return
         entry = self.table.get(rreq.dest)
-        if entry is not None and entry.valid and self.sim.now < entry.expires_at \
+        if entry is not None and entry.usable(self.sim.now) \
                 and entry.dest_seq is not None \
                 and (rreq.dest_seq_known is None
                      or entry.dest_seq >= rreq.dest_seq_known):

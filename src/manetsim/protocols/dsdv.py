@@ -7,6 +7,8 @@ smaller hop count; otherwise the advertisement is ignored.  Broken links
 invalidate routes by making their sequence number odd.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .base import DATA, DataPacket, RoutingProtocol
@@ -34,48 +36,65 @@ UPDATE = "dsdv-update"
 # sequence number always ranks higher, and at equal sequence numbers fewer
 # hops rank higher (hops <= INFINITY < RANK_SEQ).
 RANK_SEQ = 2 * INFINITY
-UNRANKED = np.iinfo(np.int64).min
 
 
 def _rank(seq, hops):
     return seq * RANK_SEQ - hops
 
 
-class DsdvEntry:
-    __slots__ = ("dest", "next_hop", "hops", "seq", "install_us")
+def _valid(seq, hops):
+    """A route forwards while its sequence number is even and its metric
+    finite; works on scalars and on arrays alike."""
+    return (seq % 2 == 0) & (hops < INFINITY)
 
-    def __init__(self, dest, next_hop, hops, seq, install_us):
-        self.dest = dest
-        self.next_hop = next_hop
-        self.hops = hops
-        self.seq = seq
-        self.install_us = install_us
 
-    @property
-    def valid(self):
-        return self.seq % 2 == 0 and self.hops < INFINITY
+# The (seq, hops) of a destination without a route: invalid, a hop count no
+# route has, and a rank below every route's.
+NO_ROUTE = -1
+UNRANKED = _rank(NO_ROUTE, NO_ROUTE)
+
+Route = namedtuple("Route", "next_hop hops seq")
+
+
+def _update(origin, rows):
+    """The update message origin sends for a copy of its (dest, seq, hops)
+    rows: (origin, entries, dests, ranks), where entries are those rows
+    made, in place, into what a receiver installs (one hop further unless
+    unreachable) and ranks are their _rank."""
+    hops = rows[:, 2]
+    hops += hops < INFINITY
+    return origin, rows, rows[:, 0], _rank(rows[:, 1], hops)
 
 
 class DsdvRouter(RoutingProtocol):
+    """The routing table is three arrays indexed by destination: the
+    (dest, seq, hops) rows, the next hops, and the _rank of each row
+    (UNRANKED where there is no route)."""
+
     name = "dsdv"
 
     def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
         super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
         self.own_seq = 0
-        self.table = {node_id: DsdvEntry(node_id, node_id, 0, 0, 0)}
         self._settling = {}       # dest -> (prev_next_hop, prev_hops, deadline_us)
-        # Array copies of the table, indexed by dest: the _rank of the stored
-        # entry (UNRANKED where there is none) and its (dest, seq, hops).
-        size = max(radio.node_count, node_id + 1)
-        self._ranks = np.full(size, UNRANKED)
-        self._rows = np.zeros((size, 3), dtype=np.int64)
-        self._rerank((node_id,))
+        self._rows = np.empty((0, 3), dtype=np.int64)
+        self._next_hop = np.empty(0, dtype=np.int64)
+        self._grow(max(radio.node_count, node_id + 1))
+        self._own_route()
         self._last_dump_us = -TRIGGER_SPACING_US
         self._trigger_pending = False
 
     def start(self):
         first = self.rng.randrange(FIRST_ADVERTISE_MAX_US + 1)
         self.sim.at(first, self._periodic)
+
+    @property
+    def table(self):
+        """The routes as {dest: Route}, built from the arrays; writing to it
+        changes nothing."""
+        dests = (self._ranks != UNRANKED).nonzero()[0]
+        return {dest: Route(next_hop, hops, seq) for (dest, seq, hops), next_hop
+                in zip(self._rows[dests].tolist(), self._next_hop[dests].tolist())}
 
     # -- advertising --------------------------------------------------
 
@@ -87,36 +106,34 @@ class DsdvRouter(RoutingProtocol):
     def periodic_advertise(self):
         """Bump own sequence number by two (stays even) and dump the table."""
         self.own_seq += 2
-        self.table[self.node_id].seq = self.own_seq
-        self._rerank((self.node_id,))
+        self._own_route()
         self._dump()
 
+    def _own_route(self):
+        """Store the route to the router itself: own_seq, no hops."""
+        me = self.node_id
+        self._rows[me] = me, self.own_seq, 0
+        self._next_hop[me] = me
+        self._ranks[me] = _rank(self.own_seq, 0)
+
     def _dump(self):
-        """Broadcast the table.  The message is (origin, entries, dests,
-        ranks): the (dest, seq, hops) rows in table order, own entry first,
-        plus their destinations and the _rank each would have once
-        installed, which let every receiver skip the entries it would
-        ignore in one vector compare."""
-        dests = np.fromiter(self.table, dtype=np.int64, count=len(self.table))
-        entries = self._rows[dests]
-        seqs, hops = entries[:, 1], entries[:, 2]
-        ranks = _rank(seqs, np.where(hops < INFINITY, hops + 1, INFINITY))
-        size = UPDATE_HEADER_BYTES + UPDATE_ENTRY_BYTES * len(entries)
+        """Broadcast every route, in destination order, own one included."""
+        rows = self._rows[self._ranks != UNRANKED]
+        size = UPDATE_HEADER_BYTES + UPDATE_ENTRY_BYTES * len(rows)
         self._last_dump_us = self.sim.now
         self._trigger_pending = False
-        msg = (self.node_id, entries, dests, ranks)
+        msg = _update(self.node_id, rows)
         self.radio.broadcast(self.node_id, self._frame(-1, size, UPDATE, msg))
 
     def _trigger_update(self):
         """Broadcast a (rate-limited) triggered full dump."""
         if self._trigger_pending:
             return
+        self._trigger_pending = True
         due = self._last_dump_us + TRIGGER_SPACING_US
         if due <= self.sim.now:
-            self._trigger_pending = True
             self._jittered(self._dump_if_pending)
         else:
-            self._trigger_pending = True
             self.sim.at(due, self._dump_if_pending)
 
     def _dump_if_pending(self):
@@ -126,17 +143,16 @@ class DsdvRouter(RoutingProtocol):
     # -- update acceptance --------------------------------------------
 
     def apply_update_entry(self, dest, adv_seq, adv_hops, origin):
-        """Process one advertised (dest, seq, hops) triple from a neighbor.
-
-        Returns True when the route is installed per the acceptance rule:
-        newer sequence number always wins; an equally fresh route wins only
-        with a strictly smaller hop count.
+        """Process one advertised (dest, seq, hops) triple from a neighbor,
+        as a one-row update message.  Returns True when the route is
+        installed per the acceptance rule: newer sequence number always
+        wins; an equally fresh route wins only with a strictly smaller hop
+        count.
         """
-        cur = self.table.get(dest)
-        before = None if cur is None else (cur.seq, cur.hops)
-        self._merge(origin, ((dest, adv_seq, adv_hops),))
-        cur = self.table.get(dest)
-        return cur is not None and (cur.seq, cur.hops) != before
+        msg = _update(origin, np.array([(dest, adv_seq, adv_hops)]))
+        before = self._stored(msg[2])[0]
+        self._merge(*msg)
+        return bool(self._ranks[dest] != before)
 
     def handle_update(self, msg):
         """Apply a full-dump update message; returns changed destinations."""
@@ -145,94 +161,62 @@ class DsdvRouter(RoutingProtocol):
             self._trigger_update()
         return changed
 
-    def _merge(self, origin, entries, dests=None, ranks=None):
-        """Apply the acceptance rule to each advertised (dest, seq, hops)
-        triple from neighbor origin; returns the destinations whose metric
-        or validity changed.
+    def _merge(self, origin, entries, dests, ranks):
+        """Install every advertised row from neighbor origin whose rank
+        beats the stored route's, except the router's own; returns the
+        destinations whose metric or validity changed.
 
-        A full dump touches every destination, so this loop dominates
-        DSDV's run time.  When the dump carries its destinations and ranks
-        (see _dump), the entries whose rank does not beat the stored one,
-        which the rule would ignore, are dropped before the loop.
+        A full dump touches every destination, and most rows lose, so the
+        rule is one vector compare and only the winners reach the loop,
+        which keeps the hold-down in step.
         """
-        if ranks is not None:
-            try:
-                stored = self._ranks[dests]
-            except IndexError:          # a destination beyond the arrays
-                self._grow(int(dests.max()))
-                stored = self._ranks[dests]
-            fresher = (ranks > stored).nonzero()[0]
-            if not len(fresher):
-                return []
-            entries = entries[fresher].tolist()
+        fresher = (ranks > self._stored(dests)).nonzero()[0]
+        if not len(fresher):
+            return []
         changed = []
-        table = self.table
         me = self.node_id
         now = self.sim.now
         settling = self._settling
-        for dest, adv_seq, adv_hops in entries:
+        rows, next_hops, table_ranks = self._rows, self._next_hop, self._ranks
+        for (dest, seq, hops), rank in zip(entries[fresher].tolist(),
+                                           ranks[fresher].tolist()):
             if dest == me:
                 continue
-            cur = table.get(dest)
-            if cur is None:
-                hops = adv_hops + 1 if adv_hops < INFINITY else INFINITY
-                table[dest] = DsdvEntry(dest, origin, hops, adv_seq, now)
+            prev_seq, prev_hops = rows.item(dest, 1), rows.item(dest, 2)
+            prev_next = next_hops.item(dest)
+            rows[dest, 1] = seq
+            rows[dest, 2] = hops
+            next_hops[dest] = origin
+            table_ranks[dest] = rank
+            was_valid = _valid(prev_seq, prev_hops)
+            now_valid = _valid(seq, hops)
+            if was_valid and now_valid and hops > prev_hops and origin != prev_next:
+                settling[dest] = (prev_next, prev_hops, now + SETTLE_US)
+            else:
+                sh = settling.get(dest)
+                if sh is not None and hops <= sh[1]:
+                    del settling[dest]
+            if hops != prev_hops or was_valid != now_valid:
                 changed.append(dest)
-                continue
-            cur_seq = cur.seq
-            if adv_seq > cur_seq:
-                hops = adv_hops + 1 if adv_hops < INFINITY else INFINITY
-                prev_hops = cur.hops
-                prev_next = cur.next_hop
-                was_valid = cur_seq % 2 == 0 and prev_hops < INFINITY
-                now_valid = adv_seq % 2 == 0 and hops < INFINITY
-                cur.next_hop = origin
-                cur.hops = hops
-                cur.seq = adv_seq
-                cur.install_us = now
-                if was_valid and now_valid and hops > prev_hops \
-                        and origin != prev_next:
-                    settling[dest] = (prev_next, prev_hops, now + SETTLE_US)
-                else:
-                    sh = settling.get(dest)
-                    if sh is not None and hops <= sh[1]:
-                        del settling[dest]
-                if hops != prev_hops or was_valid != now_valid:
-                    changed.append(dest)
-            elif adv_seq == cur_seq:
-                hops = adv_hops + 1 if adv_hops < INFINITY else INFINITY
-                if hops < cur.hops:
-                    cur.next_hop = origin
-                    cur.hops = hops
-                    cur.install_us = now
-                    sh = settling.get(dest)
-                    if sh is not None and hops <= sh[1]:
-                        del settling[dest]
-                    changed.append(dest)
-        self._rerank(dest for dest, _seq, _hops in entries)
         return changed
 
-    def _grow(self, dest):
-        """Make the table arrays long enough to index dest."""
-        size = 2 * dest + 1
-        ranks = np.full(size, UNRANKED)
-        ranks[:len(self._ranks)] = self._ranks
-        rows = np.zeros((size, 3), dtype=np.int64)
-        rows[:len(self._rows)] = self._rows
-        self._ranks, self._rows = ranks, rows
+    def _stored(self, dests):
+        """The ranks of the stored routes to dests."""
+        try:
+            return self._ranks[dests]
+        except IndexError:          # a destination beyond the arrays
+            self._grow(2 * int(dests.max()) + 1)
+            return self._ranks[dests]
 
-    def _rerank(self, dests):
-        """Bring the table arrays up to date for dests after their entries
-        changed."""
-        table = self.table
-        for dest in dests:
-            entry = table.get(dest)
-            if entry is None:
-                continue
-            if dest >= len(self._ranks):
-                self._grow(dest)
-            self._ranks[dest] = _rank(entry.seq, entry.hops)
-            self._rows[dest] = (dest, entry.seq, entry.hops)
+    def _grow(self, size):
+        """Extend the table to size destinations, with no route to the new
+        ones."""
+        old = len(self._rows)
+        new = np.full((size - old, 3), NO_ROUTE)
+        new[:, 0] = np.arange(old, size)
+        self._rows = np.concatenate((self._rows, new))
+        self._next_hop = np.concatenate((self._next_hop, np.full(size - old, NO_ROUTE)))
+        self._ranks = _rank(self._rows[:, 1], self._rows[:, 2])
 
     # -- link failure -------------------------------------------------
 
@@ -244,20 +228,19 @@ class DsdvRouter(RoutingProtocol):
             self._trigger_update()
 
     def invalidate_via(self, dead_neighbor):
-        """Mark every route through dead_neighbor broken (odd seq, infinite
-        hops); returns the invalidated destinations."""
-        out = []
-        for entry in self.table.values():
-            if entry.next_hop == dead_neighbor and entry.dest != self.node_id \
-                    and entry.valid:
-                entry.seq += 1
-                entry.hops = INFINITY
-                out.append(entry.dest)
+        """Mark every valid route through dead_neighbor broken (odd seq,
+        infinite hops); returns the invalidated destinations.  The own
+        route's next hop is the router itself, never a neighbor."""
+        rows = self._rows
+        out = ((self._next_hop == dead_neighbor)
+               & _valid(rows[:, 1], rows[:, 2])).nonzero()[0]
+        rows[out, 1] += 1
+        rows[out, 2] = INFINITY
+        self._ranks[out] = _rank(rows[out, 1], INFINITY)
         for dest, sh in list(self._settling.items()):
             if sh[0] == dead_neighbor:
                 del self._settling[dest]
-        self._rerank(out)
-        return out
+        return out.tolist()
 
     # -- forwarding ---------------------------------------------------
 
@@ -270,9 +253,8 @@ class DsdvRouter(RoutingProtocol):
             if self.sim.now < sh[2]:
                 return sh[0]
             del self._settling[dest]
-        entry = self.table.get(dest)
-        if entry is not None and entry.valid:
-            return entry.next_hop
+        if _valid(self._rows.item(dest, 1), self._rows.item(dest, 2)):
+            return self._next_hop.item(dest)
         return None
 
     def send_app_packet(self, pkt):

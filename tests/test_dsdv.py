@@ -3,7 +3,7 @@
 from hypothesis import example, given, settings, strategies as st
 
 from manetsim.protocols.dsdv import (INFINITY, SETTLE_US, UPDATE_ENTRY_BYTES,
-                                     UPDATE_HEADER_BYTES, DsdvEntry)
+                                     UPDATE_HEADER_BYTES)
 
 from conftest import Net
 
@@ -16,6 +16,11 @@ def one_router(**kw):
 
 def two_net(**kw):
     return Net([(0, 0), (100, 0)], protocol="DSDV", **kw)
+
+
+def far_pair(node):
+    """Router node of a fresh network of two nodes out of each other's range."""
+    return Net([(0, 0), (1000, 0)], protocol="DSDV").routers[node]
 
 
 # -- acceptance rule ----------------------------------------------------
@@ -62,17 +67,7 @@ def test_advertised_infinity_stays_infinite():
     r = one_router()
     r.apply_update_entry(5, 11, INFINITY, origin=3)
     assert r.table[5].hops == INFINITY
-    assert not r.table[5].valid  # odd seq and infinite metric
-
-
-def test_entry_validity_follows_sequence_parity():
-    e = DsdvEntry(1, 2, 3, seq=4, install_us=0)
-    assert e.valid
-    e.seq = 5
-    assert not e.valid
-    e.seq = 6
-    e.hops = INFINITY
-    assert not e.valid
+    assert r.route_lookup(5) is None  # odd seq and infinite metric
 
 
 # -- full dumps ---------------------------------------------------------
@@ -98,34 +93,96 @@ def test_dump_size_counts_header_plus_entries():
     assert size == UPDATE_HEADER_BYTES + 2 * UPDATE_ENTRY_BYTES  # self + dest 5
 
 
-def test_handle_update_matches_per_entry_rule():
-    """The inlined bulk path and the single-entry rule must agree."""
-    entries = [(1, 4, 0), (2, 6, 1), (1, 2, 0), (3, 7, INFINITY),
-               (2, 6, 0), (4, 0, 2), (1, 4, 5)]
-    bulk = one_router()
-    ref = one_router()
-    bulk.handle_update((9, tuple(entries)))
-    for dest, seq, hops in entries:
-        ref.apply_update_entry(dest, seq, hops, origin=9)
-    assert set(bulk.table) == set(ref.table)
+def dump_of(sender):
+    """The update message a periodic advertisement of sender broadcasts."""
+    msgs = []
+    sender.radio.on_transmit = lambda frame: msgs.append(frame.payload)
+    sender.periodic_advertise()
+    return msgs[-1]
+
+
+def receiver(held, break_link):
+    """Router 1 of a far pair holding the (dest, seq, hops) routes held,
+    learnt over router 0 (the sender) for even dests and over 3 for odd."""
+    r = far_pair(1)
+    for dest, seq, hops in held:
+        r.apply_update_entry(dest, seq, hops, origin=3 * (dest % 2))
+    if break_link:
+        r.invalidate_via(0)
+    return r
+
+
+def metric(route):
+    """The hop count and validity of a table route, or None for none."""
+    if route is None:
+        return None
+    return route.hops, route.seq % 2 == 0 and route.hops < INFINITY
+
+
+def check_dump_against_rows(sender, held, break_link=False):
+    """Deliver a real dump of sender to a receiver holding held, and apply
+    the same rows one at a time to a twin with apply_update_entry: both
+    must end in the same routes, hold-downs and next hops, the changed
+    list must name each destination whose metric or validity changed, and
+    a row must be installed exactly when the acceptance rule says so."""
+    msg = dump_of(sender)
+    rows = [(dest, route.seq, route.hops) for dest, route in sender.table.items()]
+    dests = msg[1][:, 0].tolist()
+    assert dests == [dest for dest, _seq, _hops in rows]
+    assert len(set(dests)) == len(dests)
+    bulk, ref = receiver(held, break_link), receiver(held, break_link)
+    got = bulk.handle_update(msg)
+    want = []
+    for dest, seq, hops in rows:
+        cur = ref.table.get(dest)
+        installed = ref.apply_update_entry(dest, seq, hops, origin=sender.node_id)
+        hops = hops + 1 if hops < INFINITY else INFINITY
+        assert installed == (dest != ref.node_id and (
+            cur is None or seq > cur.seq or (seq == cur.seq and hops < cur.hops)))
+        if metric(ref.table.get(dest)) != metric(cur):
+            want.append(dest)
+    assert got == want
+    assert bulk.table == ref.table
+    assert bulk._settling == ref._settling
     for dest in bulk.table:
-        b, r = bulk.table[dest], ref.table[dest]
-        assert (b.next_hop, b.hops, b.seq) == (r.next_hop, r.hops, r.seq)
+        hop = bulk.route_lookup(dest)
+        assert hop == ref.route_lookup(dest)
+        assert hop is None or type(hop) is int
+
+
+def sender_with(routes):
+    """Router 0 of a far pair holding the (dest, seq, hops, origin) routes."""
+    sender = far_pair(0)
+    for dest, seq, hops, origin in routes:
+        sender.apply_update_entry(dest, seq, hops, origin)
+    return sender
+
+
+def test_handle_update_matches_per_entry_rule():
+    """A dump and its rows applied one by one must agree."""
+    sender = sender_with([(2, 6, 1, 4), (3, 7, INFINITY, 4), (4, 0, 2, 5),
+                          (5, 10, 0, 5), (6, 4, 3, 4), (7, 12, 2, 4)])
+    sender.invalidate_via(5)                  # 4 and 5 become odd
+    # 7 arrives fresher but longer over a new next hop: a hold-down starts.
+    held = [(1, 40, 0), (2, 6, 0), (3, 7, 2), (4, 2, 1), (5, 10, 1), (6, 4, 0),
+            (7, 10, 0)]
+    check_dump_against_rows(sender, held)
+    check_dump_against_rows(sender, held, break_link=True)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 20),
+                          st.sampled_from([0, 1, 2, 3, INFINITY]),
+                          st.integers(2, 4)), max_size=12),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 20),
                           st.sampled_from([0, 1, 2, 3, INFINITY])),
-                min_size=1, max_size=30),
-       st.integers(1, 4))
-def test_handle_update_equivalence_fuzz(entries, origin):
-    bulk = one_router()
-    ref = one_router()
-    bulk.handle_update((origin, tuple(entries)))
-    for dest, seq, hops in entries:
-        ref.apply_update_entry(dest, seq, hops, origin=origin)
-    assert {d: (e.next_hop, e.hops, e.seq) for d, e in bulk.table.items()} == \
-           {d: (e.next_hop, e.hops, e.seq) for d, e in ref.table.items()}
+                max_size=12),
+       st.sampled_from([None, 2, 3]), st.booleans())
+def test_handle_update_equivalence_fuzz(routes, held, dead, break_link):
+    sender = sender_with(routes)
+    if dead is not None:
+        sender.invalidate_via(dead)
+    check_dump_against_rows(sender, held, break_link)
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,38 +199,16 @@ def test_handle_update_equivalence_fuzz(entries, origin):
 @example([(2, 4, 1, -1, 0)], False)
 @example([(2, 4, INFINITY, 0, 0)], True)
 def test_dump_ranks_skip_only_ignored_entries(pairs, break_link):
-    """A dump carries ranks that let a receiver skip entries before the
-    rule runs; the result must equal running the rule on every entry."""
+    """A receiver skips a dump row by its rank; the rows it skips must be
+    exactly those the acceptance rule ignores."""
     # The receiver holds each advertised entry with its sequence number
     # and hop count nudged, so the rule's ties and near-ties all occur.
     held = [(dest, max(0, seq + dseq),
              hops if hops == INFINITY else max(0, hops + dhops))
             for dest, seq, hops, dseq, dhops in pairs]
-    sender_net = Net([(0, 0), (1000, 0)], protocol="DSDV")
-    sender = sender_net.routers[0]
-    for dest, seq, hops, _dseq, _dhops in pairs:
-        sender.apply_update_entry(dest, seq, hops, origin=2)
-    dumps = []
-    sender_net.radio.on_transmit = lambda fr: dumps.append(fr.payload)
-    sender.periodic_advertise()
-    msg = dumps[-1]
-    receivers = []
-    for _ in range(2):
-        r = Net([(0, 0), (1000, 0)], protocol="DSDV").routers[1]
-        for dest, seq, hops in held:
-            r.apply_update_entry(dest, seq, hops, origin=3 * (dest % 2))
-        if break_link:
-            r.invalidate_via(0)
-        receivers.append(r)
-    screened, plain = receivers
-    got = screened.handle_update(msg)
-    want = plain.handle_update((msg[0], tuple(map(tuple, msg[1].tolist()))))
-    assert got == want
-    assert {d: (e.next_hop, e.hops, e.seq, e.install_us)
-            for d, e in screened.table.items()} == \
-           {d: (e.next_hop, e.hops, e.seq, e.install_us)
-            for d, e in plain.table.items()}
-    assert screened._settling == plain._settling
+    sender = sender_with([(dest, seq, hops, 2)
+                          for dest, seq, hops, _dseq, _dhops in pairs])
+    check_dump_against_rows(sender, held, break_link)
 
 
 # -- invalidation -------------------------------------------------------
@@ -188,8 +223,8 @@ def test_invalidate_via_makes_sequence_odd():
     for dest in (5, 6):
         assert r.table[dest].seq % 2 == 1
         assert r.table[dest].hops == INFINITY
-        assert not r.table[dest].valid
-    assert r.table[7].valid
+        assert r.route_lookup(dest) is None
+    assert r.route_lookup(7) == 4
 
 
 def test_route_lookup_skips_invalid_routes():
