@@ -14,17 +14,10 @@ import os
 import sys
 from dataclasses import fields
 
-from .mobility import STATIC
 from .scenario import ConfigInvalid, ScenarioConfig, run_scenario
-from .sweep import SweepSpec, emit_plot_data, read_raw_csv, run_sweep
+from .sweep import SweepSpec, _parse_pause, emit_plot_data, read_raw_csv, run_sweep
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
-
-
-def _parse_pause(text):
-    if str(text).strip().lower() in ("static", "inf"):
-        return STATIC
-    return float(text)
 
 
 def _coerce(key, value):
@@ -86,8 +79,21 @@ def _add_common(parser):
     parser.add_argument("--out", default="results", help="output directory")
 
 
+def _add_grid(parser):
+    parser.add_argument("--protocols", default="DSDV,AODV,DSR")
+    parser.add_argument("--node-counts", default="50,75,100")
+    parser.add_argument("--pauses", default="20,40,60,80,100")
+
+
 def _csv_list(text, cast):
     return [cast(part) for part in text.split(",") if part]
+
+
+def _grid_spec(args, **extra):
+    """The SweepSpec of the grid options that _add_grid registers."""
+    return SweepSpec(protocols=_csv_list(args.protocols, str),
+                     node_counts=_csv_list(args.node_counts, int),
+                     pause_times=_csv_list(args.pauses, _parse_pause), **extra)
 
 
 def main(argv=None):
@@ -106,9 +112,7 @@ def main(argv=None):
 
     p_sweep = sub.add_parser("sweep", help="run a full experiment grid")
     _add_common(p_sweep)
-    p_sweep.add_argument("--protocols", default="DSDV,AODV,DSR")
-    p_sweep.add_argument("--node-counts", default="50,75,100")
-    p_sweep.add_argument("--pauses", default="20,40,60,80,100")
+    _add_grid(p_sweep)
     p_sweep.add_argument("--seeds-per-cell", type=int, default=5)
     p_sweep.add_argument("--trace-cells", action="store_true",
                          help="write a per-packet trace CSV for every cell")
@@ -117,9 +121,7 @@ def main(argv=None):
     p_plot = sub.add_parser("plotdata", help="emit per-figure data files")
     p_plot.add_argument("--out", default="results",
                         help="directory holding raw.csv; .dat files go there too")
-    p_plot.add_argument("--protocols", default="DSDV,AODV,DSR")
-    p_plot.add_argument("--node-counts", default="50,75,100")
-    p_plot.add_argument("--pauses", default="20,40,60,80,100")
+    _add_grid(p_plot)
 
     p_val = sub.add_parser("validate", help="check a configuration and exit")
     _add_common(p_val)
@@ -163,12 +165,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     base = build_config(args)
-    spec = SweepSpec(
-        protocols=_csv_list(args.protocols, str),
-        node_counts=_csv_list(args.node_counts, int),
-        pause_times=_csv_list(args.pauses, _parse_pause),
-        seeds_per_cell=args.seeds_per_cell,
-    )
+    spec = _grid_spec(args, seeds_per_cell=args.seeds_per_cell)
     progress = None if args.quiet else lambda line: print(line, flush=True)
     rows, failures = run_sweep(spec, base, args.out,
                                trace_cells=args.trace_cells, progress=progress)
@@ -186,12 +183,7 @@ def _cmd_plotdata(args):
     if not os.path.exists(raw_path):
         raise ConfigInvalid([f"no raw.csv in {args.out}; run 'sweep' first"])
     rows = read_raw_csv(raw_path)
-    spec = SweepSpec(
-        protocols=_csv_list(args.protocols, str),
-        node_counts=_csv_list(args.node_counts, int),
-        pause_times=_csv_list(args.pauses, _parse_pause),
-    )
-    for path in emit_plot_data(rows, spec, args.out):
+    for path in emit_plot_data(rows, _grid_spec(args), args.out):
         print(path)
     return 0
 

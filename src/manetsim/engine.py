@@ -18,11 +18,6 @@ def to_us(seconds):
     return int(round(seconds * US_PER_S))
 
 
-def to_s(us):
-    """Convert integer microseconds back to seconds."""
-    return us / US_PER_S
-
-
 class SchedulingInPast(Exception):
     """Raised when an event is scheduled before the current clock."""
 

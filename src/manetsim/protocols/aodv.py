@@ -6,7 +6,7 @@ sequence number is at least as fresh as the one the request asks for,
 and travel back along the reverse path the request installed.
 """
 
-from .base import DATA, DataPacket, Flood, ReactiveProtocol
+from .base import DATA, Flood, ReactiveProtocol
 
 ACTIVE_ROUTE_TIMEOUT_US = 10_000_000
 
@@ -120,6 +120,9 @@ class AodvRouter(ReactiveProtocol):
     def has_route(self, dest):
         return self.route_lookup(dest) is not None
 
+    # Over a known route, data goes hop by hop.
+    _send = ReactiveProtocol._forward
+
     # -- discovery ----------------------------------------------------
 
     def originate_rreq(self, dest):
@@ -128,20 +131,19 @@ class AodvRouter(ReactiveProtocol):
         entry = self.table.get(dest)
         known = entry.dest_seq if entry is not None else UNKNOWN
         rreq = Rreq(self.node_id, self.rreq_id, dest, known, self.own_seq)
-        self.radio.broadcast(self.node_id, self._frame(-1, RREQ_BYTES, RREQ, rreq))
+        self._broadcast(RREQ_BYTES, RREQ, rreq)
         return rreq
 
     def handle_rreq(self, rreq, prev_hop):
         if not rreq.flood.first_visit(self.node_id):
             return
         self._install(rreq.origin, prev_hop, rreq.hop_count + 1, rreq.origin_seq)
-        self._flush_buffer(rreq.origin)
+        self._release(rreq.origin)
         if rreq.dest == self.node_id:
             if rreq.dest_seq_known is not None:
                 self.own_seq = max(self.own_seq, rreq.dest_seq_known)
             reply = Rrep(self.node_id, self.own_seq, 0, rreq.origin)
-            self.radio.unicast(self.node_id, prev_hop,
-                               self._frame(prev_hop, RREP_BYTES, RREP, reply))
+            self._unicast(prev_hop, RREP_BYTES, RREP, reply)
             return
         entry = self.table.get(rreq.dest)
         if entry is not None and entry.usable(self.sim.now) \
@@ -149,20 +151,18 @@ class AodvRouter(ReactiveProtocol):
                 and (rreq.dest_seq_known is None
                      or entry.dest_seq >= rreq.dest_seq_known):
             reply = Rrep(rreq.dest, entry.dest_seq, entry.hops, rreq.origin)
-            self.radio.unicast(self.node_id, prev_hop,
-                               self._frame(prev_hop, RREP_BYTES, RREP, reply))
+            self._unicast(prev_hop, RREP_BYTES, RREP, reply)
             return
         fwd = Rreq(rreq.origin, rreq.rreq_id, rreq.dest, rreq.dest_seq_known,
                    rreq.origin_seq, rreq.hop_count + 1, rreq.flood)
-        self._jittered(lambda: self.radio.broadcast(
-            self.node_id, self._frame(-1, RREQ_BYTES, RREQ, fwd)))
+        self._jittered(lambda: self._broadcast(RREQ_BYTES, RREQ, fwd))
 
     def handle_rrep(self, rrep, prev_hop):
         installed = self._install(rrep.dest, prev_hop, rrep.hop_count + 1,
                                   rrep.dest_seq)
         if rrep.origin == self.node_id:
             self._stop_discovery(rrep.dest)
-            self._flush_buffer(rrep.dest)
+            self._release(rrep.dest)
             return
         if not installed:
             self.drop("redundant_rrep")
@@ -172,19 +172,7 @@ class AodvRouter(ReactiveProtocol):
             self.drop("reverse_path_missing")
             return
         fwd = Rrep(rrep.dest, rrep.dest_seq, rrep.hop_count + 1, rrep.origin)
-        self.radio.unicast(self.node_id, back,
-                           self._frame(back, RREP_BYTES, RREP, fwd))
-
-    def _flush_buffer(self, dest):
-        buffered = self.buffers.get(dest)
-        if not buffered:
-            return
-        if not self.has_route(dest):
-            return
-        del self.buffers[dest]
-        self._stop_discovery(dest)
-        for data in buffered:
-            self._forward(data)
+        self._unicast(back, RREP_BYTES, RREP, fwd)
 
     # -- link failure -------------------------------------------------
 
@@ -205,9 +193,7 @@ class AodvRouter(ReactiveProtocol):
                 else:
                     entry.dest_seq = 1
                 unreachable.append((entry.dest, entry.dest_seq))
-        if unreachable:
-            size = RERR_BASE_BYTES + RERR_PER_DEST_BYTES * len(unreachable)
-            self.radio.broadcast(self.node_id, self._frame(-1, size, RERR, tuple(unreachable)))
+        self._broadcast_rerr(unreachable)
 
     def handle_rerr(self, unreachable, prev_hop):
         affected = []
@@ -219,19 +205,15 @@ class AodvRouter(ReactiveProtocol):
                                         or seq > entry.dest_seq):
                     entry.dest_seq = seq
                 affected.append((dest, entry.dest_seq))
-        if affected:
-            size = RERR_BASE_BYTES + RERR_PER_DEST_BYTES * len(affected)
-            self.radio.broadcast(self.node_id, self._frame(-1, size, RERR, tuple(affected)))
+        self._broadcast_rerr(affected)
 
-    # -- forwarding ---------------------------------------------------
+    def _broadcast_rerr(self, unreachable):
+        """Report (dest, seq) pairs that are no longer reachable, if any."""
+        if unreachable:
+            self._broadcast(RERR_BASE_BYTES + RERR_PER_DEST_BYTES * len(unreachable),
+                            RERR, tuple(unreachable))
 
-    def send_app_packet(self, pkt):
-        data = DataPacket(pkt)
-        if self.has_route(pkt.dst):
-            self._forward(data)
-        else:
-            self._buffer(pkt.dst, data)
-            self._start_discovery(pkt.dst)
+    # -- receiving ----------------------------------------------------
 
     def handle_frame(self, frame):
         kind = frame.kind

@@ -1,10 +1,10 @@
-"""Shared plumbing for the three routing protocols: hop-by-hop forwarding
-for the distance-vector protocols and the on-demand discovery policy of the
-reactive ones."""
+"""Shared plumbing for the three routing protocols: the two send helpers,
+hop-by-hop forwarding for the distance-vector protocols, and the on-demand
+send, discovery and release policy of the reactive ones."""
 
 from collections import deque
 
-from ..radio import Frame
+from ..radio import BROADCAST, Frame
 
 # Safety valve against transient forwarding loops in the distance-vector
 # protocols; DSR routes are loop-free by construction.
@@ -97,8 +97,13 @@ class RoutingProtocol:
 
     # -- helpers ------------------------------------------------------
 
-    def _frame(self, dst, size, kind, payload):
-        return Frame(self.node_id, dst, size, kind, payload)
+    def _broadcast(self, size, kind, payload):
+        self.radio.broadcast(self.node_id,
+                             Frame(self.node_id, BROADCAST, size, kind, payload))
+
+    def _unicast(self, next_hop, size, kind, payload):
+        self.radio.unicast(self.node_id, next_hop,
+                           Frame(self.node_id, next_hop, size, kind, payload))
 
     def deliver(self, data):
         app = data.app
@@ -126,8 +131,7 @@ class RoutingProtocol:
         if next_hop is None:
             self.drop("no_route")
             return
-        self.radio.unicast(self.node_id, next_hop,
-                           self._frame(next_hop, data.app.size, DATA, data))
+        self._unicast(next_hop, data.app.size, DATA, data)
 
     def _receive_data(self, data):
         data.hops += 1
@@ -142,10 +146,12 @@ class RoutingProtocol:
 class ReactiveProtocol(RoutingProtocol):
     """On-demand route discovery shared by AODV and DSR.
 
-    Packets for a destination without a route wait in a bounded buffer
-    while a route request floods; an unanswered request is repeated every
-    DISCOVERY_TIMEOUT_US, up to RREQ_RETRIES times, and then the buffered
-    packets are dropped.  Subclasses supply ``has_route(dest)``,
+    A packet goes out at once over a known route.  Otherwise it waits in a
+    bounded buffer while a route request floods; an unanswered request is
+    repeated every DISCOVERY_TIMEOUT_US, up to RREQ_RETRIES times, and then
+    the buffered packets are dropped.  When a route becomes known,
+    ``_release`` sends what waits and ends the discovery.  Subclasses supply
+    ``has_route(dest)``, ``_send(data)`` over a known route,
     ``originate_rreq(dest)`` and ``rreq_kind``, the frame kind of a route
     request, whose payload carries its ``Flood``.
     """
@@ -165,8 +171,19 @@ class ReactiveProtocol(RoutingProtocol):
     def has_route(self, dest):
         raise NotImplementedError
 
+    def _send(self, data):
+        raise NotImplementedError
+
     def originate_rreq(self, dest):
         raise NotImplementedError
+
+    def send_app_packet(self, pkt):
+        data = DataPacket(pkt)
+        if self.has_route(pkt.dst):
+            self._send(data)
+        else:
+            self._buffer(pkt.dst, data)
+            self._start_discovery(pkt.dst)
 
     def _buffer(self, dest, data):
         buf = self.buffers.setdefault(dest, deque())
@@ -205,3 +222,19 @@ class ReactiveProtocol(RoutingProtocol):
         state = self.pending.pop(dest, None)
         if state is not None:
             self.sim.cancel(state[1])
+
+    def _release(self, dest):
+        """Send the packets waiting for dest and end its discovery, if a
+        route is known; False only when packets wait and none is."""
+        buffered = self.buffers.get(dest)
+        if not buffered:
+            # Nothing waits: leave the route's expiry alone (AODV's
+            # has_route refreshes it).
+            return True
+        if not self.has_route(dest):
+            return False
+        del self.buffers[dest]
+        self._stop_discovery(dest)
+        for data in buffered:
+            self._send(data)
+        return True

@@ -122,8 +122,7 @@ class DsdvRouter(RoutingProtocol):
         size = UPDATE_HEADER_BYTES + UPDATE_ENTRY_BYTES * len(rows)
         self._last_dump_us = self.sim.now
         self._trigger_pending = False
-        msg = _update(self.node_id, rows)
-        self.radio.broadcast(self.node_id, self._frame(-1, size, UPDATE, msg))
+        self._broadcast(size, UPDATE, _update(self.node_id, rows))
 
     def _trigger_update(self):
         """Broadcast a (rate-limited) triggered full dump."""

@@ -7,7 +7,7 @@ return path caches the path and its prefixes.  Route errors purge every
 cached path containing the broken link.
 """
 
-from .base import DATA, DataPacket, Flood, ReactiveProtocol
+from .base import DATA, Flood, ReactiveProtocol
 
 CACHE_CAPACITY = 64              # paths per node, FIFO eviction, no expiry
 
@@ -117,37 +117,31 @@ class DsrRouter(ReactiveProtocol):
 
     # -- sending ------------------------------------------------------
 
-    def send_app_packet(self, pkt):
-        dest = pkt.dst
-        data = DataPacket(pkt)
-        if dest == self.node_id:
-            self.deliver(data)
-            return
-        route = self.cache.find(self.node_id, dest)
-        if route is not None:
-            self._emit(data, route)
-        else:
-            self._buffer(dest, data)
-            self._start_discovery(dest)
-
-    def _emit(self, data, route):
-        data.route = route
-        data.idx = 1
-        size = data.app.size + data_header_bytes(route)
-        self.radio.unicast(self.node_id, route[1],
-                           self._frame(route[1], size, DATA, data))
-
-    # -- discovery ----------------------------------------------------
-
     def has_route(self, dest):
         return self.cache.find(self.node_id, dest) is not None
 
+    def _send(self, data):
+        """Send data from its source along the cached route."""
+        data.route = self.cache.find(self.node_id, data.app.dst)
+        data.idx = 1
+        self._unicast_data(data)
+
+    def _unicast_data(self, data):
+        """Send data to the hop its route names at data.idx."""
+        route = data.route
+        self._unicast(route[data.idx], data.app.size + data_header_bytes(route),
+                      DATA, data)
+
+    # -- discovery ----------------------------------------------------
+
     def originate_rreq(self, dest):
         self.request_id += 1
-        rreq = _Rreq(self.node_id, self.request_id, dest, (self.node_id,),
-                     Flood(self.node_id))
-        size = RREQ_BASE_BYTES + RREQ_PER_HOP_BYTES * len(rreq.record)
-        self.radio.broadcast(self.node_id, self._frame(-1, size, RREQ, rreq))
+        self._broadcast_rreq(_Rreq(self.node_id, self.request_id, dest,
+                                   (self.node_id,), Flood(self.node_id)))
+
+    def _broadcast_rreq(self, rreq):
+        self._broadcast(RREQ_BASE_BYTES + RREQ_PER_HOP_BYTES * len(rreq.record),
+                        RREQ, rreq)
 
     def handle_rreq(self, rreq):
         if not rreq.flood.first_visit(self.node_id):
@@ -165,19 +159,16 @@ class DsrRouter(ReactiveProtocol):
                 return
         record = rreq.record + (self.node_id,)
         fwd = _Rreq(rreq.origin, rreq.request_id, rreq.dest, record, rreq.flood)
-        size = RREQ_BASE_BYTES + RREQ_PER_HOP_BYTES * len(record)
-        self._jittered(lambda: self.radio.broadcast(
-            self.node_id, self._frame(-1, size, RREQ, fwd)))
+        self._jittered(lambda: self._broadcast_rreq(fwd))
 
     def _send_rrep(self, path, my_index):
         """Send (or forward) a route reply backward along the record."""
         if my_index == 0:
             self._accept_rrep(path)
             return
-        prev = path[my_index - 1]
-        size = RREP_BASE_BYTES + RREP_PER_HOP_BYTES * len(path)
-        self.radio.unicast(self.node_id, prev,
-                           self._frame(prev, size, RREP, _Rrep(path)))
+        self._unicast(path[my_index - 1],
+                      RREP_BASE_BYTES + RREP_PER_HOP_BYTES * len(path),
+                      RREP, _Rrep(path))
 
     def handle_rrep(self, rrep):
         path = rrep.path
@@ -191,13 +182,8 @@ class DsrRouter(ReactiveProtocol):
 
     def _accept_rrep(self, path):
         self._cache_suffixes(path, 0)
-        dest = path[-1]
-        self._stop_discovery(dest)
-        buffered = self.buffers.pop(dest, None)
-        if buffered:
-            route = self.cache.find(self.node_id, dest)
-            for data in buffered:
-                self._emit(DataPacket(data.app), route)
+        self._stop_discovery(path[-1])
+        self._release(path[-1])
 
     # -- source-routed forwarding -------------------------------------
 
@@ -210,10 +196,7 @@ class DsrRouter(ReactiveProtocol):
             self.deliver(data)
             return
         data.idx += 1
-        next_hop = route[data.idx]
-        size = data.app.size + data_header_bytes(route)
-        self.radio.unicast(self.node_id, next_hop,
-                           self._frame(next_hop, size, DATA, data))
+        self._unicast_data(data)
 
     # -- maintenance --------------------------------------------------
 
@@ -237,8 +220,7 @@ class DsrRouter(ReactiveProtocol):
             return
         return_path = tuple(reversed(route[:my_index + 1]))
         err = _Rerr(self.node_id, broken, source, route[-1], return_path)
-        self.radio.unicast(self.node_id, return_path[1],
-                           self._frame(return_path[1], RERR_BYTES, RERR, err))
+        self._unicast(return_path[1], RERR_BYTES, RERR, err)
 
     def handle_route_error(self, err):
         self.cache.purge_link(*err.broken_link)
@@ -248,22 +230,12 @@ class DsrRouter(ReactiveProtocol):
         rp = err.return_path
         i = rp.index(self.node_id)
         if i + 1 < len(rp):
-            self.radio.unicast(self.node_id, rp[i + 1],
-                               self._frame(rp[i + 1], RERR_BYTES, RERR, err))
+            self._unicast(rp[i + 1], RERR_BYTES, RERR, err)
 
     def _source_reroute(self, dest):
         """After a route error: re-send pending data over a surviving path,
         or start exactly one fresh discovery."""
-        buffered = self.buffers.get(dest)
-        if not buffered:
-            return
-        route = self.cache.find(self.node_id, dest)
-        if route is not None:
-            del self.buffers[dest]
-            self._stop_discovery(dest)
-            for data in buffered:
-                self._emit(DataPacket(data.app), route)
-        else:
+        if not self._release(dest):
             self._start_discovery(dest)
 
     def handle_frame(self, frame):

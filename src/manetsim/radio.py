@@ -5,8 +5,8 @@ link-failure feedback for the routing layer.
 Two modes exist.  The realistic MAC serializes each node's transmissions,
 models collisions as overlapping airtimes at a common receiver, and
 retries unicasts before declaring a link broken.  The ideal MAC is
-lossless within range with no queueing or collisions; it exists for
-oracle tests.
+lossless within range with no queueing or collisions; it exists for oracle
+tests and also drives the ``static-ideal`` workload and golden ``FIXED`` cells.
 """
 
 import math
@@ -109,14 +109,19 @@ class Radio:
 
     # -- transmission -------------------------------------------------
 
-    def _tx_slot(self, src, air):
-        """Reserve the next transmit slot on src's FIFO queue."""
+    def _transmit(self, src, frame, counter):
+        """Put frame on the air from src: its airtime takes the next slot
+        on src's FIFO queue (at once under the ideal MAC), the frame is
+        stamped and accounted for, and stats[counter] counts it.  Returns
+        the airtime as (start, end)."""
         now = self.sim.now
-        if self.ideal:
-            return now
-        start = max(now, self._busy_until[src])
-        self._busy_until[src] = start + air
-        return start
+        start = now if self.ideal else max(now, self._busy_until[src])
+        end = self._busy_until[src] = start + self.airtime_us(frame.size)
+        frame.tx_start = start
+        if self.on_transmit is not None:
+            self.on_transmit(frame)
+        self.stats[counter] += 1
+        return start, end
 
     def _note_signals(self, start, end, mask):
         """Record an airtime interval heard at each receiver in mask; returns
@@ -148,13 +153,7 @@ class Radio:
         simply lost at the affected receivers.
         """
         sim = self.sim
-        air = self.airtime_us(frame.size)
-        start = self._tx_slot(src, air)
-        end = start + air
-        frame.tx_start = start
-        if self.on_transmit is not None:
-            self.on_transmit(frame)
-        self.stats["tx_broadcast"] += 1
+        start, end = self._transmit(src, frame, "tx_broadcast")
         mask = self._reach(src, sim.now)
         if not mask:
             return 0
@@ -192,13 +191,7 @@ class Radio:
 
     def _unicast_attempt(self, src, dst, frame, tries_left):
         sim = self.sim
-        air = self.airtime_us(frame.size)
-        start = self._tx_slot(src, air)
-        end = start + air
-        frame.tx_start = start
-        if self.on_transmit is not None:
-            self.on_transmit(frame)
-        self.stats["tx_unicast"] += 1
+        start, end = self._transmit(src, frame, "tx_unicast")
         tx = None
         if self.ideal:
             in_range_at_start = self.in_range(src, dst, sim.now)

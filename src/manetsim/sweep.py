@@ -53,6 +53,13 @@ def _pause_label(pause):
     return f"{pause:g}"
 
 
+def _parse_pause(text):
+    """The pause time a _pause_label (or "inf", or any number) names."""
+    if str(text).strip().lower() in ("static", "inf"):
+        return STATIC
+    return float(text)
+
+
 def run_sweep(spec, base, out_dir, trace_cells=False, progress=None):
     """Execute every grid cell; returns (rows, failures).
 
@@ -181,7 +188,7 @@ def read_raw_csv(path):
             rows.append({
                 "protocol": r["protocol"],
                 "nodes": int(r["nodes"]),
-                "pause": STATIC if r["pause"] == "static" else float(r["pause"]),
+                "pause": _parse_pause(r["pause"]),
                 "seed": int(r["seed"]),
                 "throughput": float(r["throughput"]) if r["throughput"] else None,
                 "pdr": float(r["pdr"]) if r["pdr"] else None,

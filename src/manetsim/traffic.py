@@ -2,7 +2,6 @@
 
 from .engine import US_PER_S, to_us
 
-DEFAULT_N_FLOWS = 10
 DEFAULT_RATE_PPS = 4.0
 DEFAULT_PACKET_SIZE = 512
 START_STAGGER_S = 5.0   # flow starts spread uniformly to avoid synchronized bursts

@@ -1,5 +1,7 @@
 """AODV: install rule, discovery, cache-reply gate, error handling."""
 
+import pytest
+
 from manetsim.protocols.aodv import (ACTIVE_ROUTE_TIMEOUT_US, RREQ_BYTES,
                                      Rreq, _fresher)
 
@@ -15,6 +17,19 @@ def one_router(**kw):
 def control_log(net):
     log = []
     net.radio.on_transmit = lambda fr: log.append((fr.src, fr.kind, fr.size))
+    return log
+
+
+def delivery_log(net):
+    """The (flow_id, seq) of every packet delivered, in delivery order."""
+    log = []
+    record = net.trace.record_received
+
+    def logged(flow_id, seq, t_us, hops):
+        log.append((flow_id, seq))
+        record(flow_id, seq, t_us, hops)
+
+    net.trace.record_received = logged
     return log
 
 
@@ -147,13 +162,37 @@ def test_discovery_retries_then_gives_up():
     assert net.trace.drops["aodv:no_route_ever"] == 1
 
 
-def test_buffered_packets_flush_after_discovery(chain3):
+@pytest.mark.parametrize("protocol", ["AODV", "DSR"])
+def test_buffered_packets_flush_after_discovery(chain3, protocol):
+    net = chain3(protocol=protocol)
+    log = control_log(net)
+    delivered = delivery_log(net)
+    keys = [net.send(0, 2) for _ in range(3)]
+    src = net.routers[0]
+    net.run(0.5)                            # replied; the retry is not due yet
+    assert delivered == keys                # first in, first out
+    assert src.buffers == {} and src.pending == {}
+    net.run(5)                              # past every retry there could be
+    assert [e for e in log if e[:2] == (0, src.rreq_kind)] == [log[0]]
+    assert net.hops(keys[0]) == 2
+
+
+def test_buffered_packets_leave_when_their_destinations_request_arrives(chain3):
+    """Node 2, holding a packet for node 0, sends it over the reverse route
+    that 0's own request installs, and ends its discovery for 0."""
     net = chain3()
-    k1 = net.send(0, 2)
-    k2 = net.send(0, 2)
+    log = control_log(net)
+    net.routers[1]._install(0, 0, 1, 1)     # 0's request came through 1
+    key = net.send(2, 0)
+    r2 = net.routers[2]
+    assert r2.buffers and 0 in r2.pending
+    r2.handle_rreq(Rreq(0, 1, dest=2, dest_seq_known=None, origin_seq=1,
+                        hop_count=1), prev_hop=1)
+    assert (2, "data", 512) in log
+    assert r2.buffers == {} and r2.pending == {}
     net.run(5)
-    assert net.delivered(k1) and net.delivered(k2)
-    assert net.hops(k1) == 2
+    assert net.delivered(key) and net.hops(key) == 2
+    assert [e for e in log if e[:2] == (2, "aodv-rreq")] == [log[0]]
 
 
 def test_buffer_overflow_drops_oldest():

@@ -3,14 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim.engine import RngStream, SchedulingInPast, Simulator, to_s, to_us
+from manetsim.engine import RngStream, SchedulingInPast, Simulator, to_us
 
 
 def test_unit_conversions_round_trip():
     assert to_us(1.0) == 1_000_000
     assert to_us(0.003048) == 3048
-    assert to_s(3048) == 0.003048
-    assert to_us(to_s(123456789)) == 123456789
 
 
 def test_events_fire_in_time_order():
