@@ -6,6 +6,19 @@ stays small.  Leg state lives in numpy arrays: only the occasional
 waypoint arrival runs per-node Python, while position queries are one
 vector expression.  Per-node RNG streams keep node trajectories
 independent of query interleaving.
+
+Both models also describe their current legs, so that the radio can tell
+when a link may change without asking for positions:
+
+- ``legs``: a counter per node that goes up when its leg changes.  The
+  array is replaced, never changed in place, so a holder of the old one can
+  tell which nodes changed legs.  ``FixedPositions.move`` counts as a leg
+  change.
+- ``next_transition``: the earliest time at which a query starts a new leg.
+- ``leg_end``: per node, the time at which its current leg ends.
+- ``velocity``: the current legs' velocities, m/us, as a (2, node_count)
+  array.
+- ``extent``: a bound on the magnitude of any coordinate on those legs.
 """
 
 import math
@@ -65,7 +78,10 @@ class RandomWaypoint:
         self._pausing = np.zeros(node_count, dtype=bool)
         for i in range(node_count):
             self._new_leg(i, 0)
-        self._next_transition = int(self._t1.min())
+        self.legs = np.zeros(node_count, dtype=np.int64)
+        self.next_transition = int(self._t1.min())
+        self.leg_end = self._t1
+        self.extent = max(width, height)
         self._leg_deltas()
 
     def _leg_deltas(self):
@@ -73,6 +89,7 @@ class RandomWaypoint:
         # does not recompute them.
         self._d = self._p1 - self._p0
         self._dt = self._t1 - self._t0
+        self.velocity = self._d / self._dt
 
     def _new_leg(self, i, depart_us):
         rng = self._rngs[i]
@@ -106,10 +123,13 @@ class RandomWaypoint:
     def _eval(self, t_us):
         if t_us == self._memo_t:
             return
-        if t_us >= self._next_transition:
-            for i in np.flatnonzero(self._t1 <= t_us):
+        if t_us >= self.next_transition:
+            ended = np.flatnonzero(self._t1 <= t_us)
+            for i in ended:
                 self._advance(i, t_us)
-            self._next_transition = int(self._t1.min())
+            self.legs = self.legs.copy()
+            self.legs[ended] += 1
+            self.next_transition = int(self._t1.min())
             self._leg_deltas()
         frac = (t_us - self._t0) / self._dt
         self._memo_xy = self._p0 + self._d * frac
@@ -134,19 +154,28 @@ class FixedPositions:
     """Fixed placement of a static network, or one scripted by a test;
     positions only change via move()."""
 
+    next_transition = math.inf
+
     def __init__(self, positions):
         self._pos = [tuple(p) for p in positions]
         self.node_count = len(self._pos)
-        self._xy = self._arrays()
+        self.legs = np.zeros(self.node_count, dtype=np.int64)
+        self.velocity = np.zeros((2, self.node_count))
+        self.leg_end = np.full(self.node_count, math.inf)
+        self._arrays()
 
     def _arrays(self):
         # Rebuilt, not updated in place: int positions would give an int
         # array that truncates a later float move().
-        return np.array([[p[0] for p in self._pos], [p[1] for p in self._pos]])
+        self._xy = np.array([[p[0] for p in self._pos], [p[1] for p in self._pos]])
+        self.extent = float(np.abs(self._xy).max())
 
     def move(self, node, xy):
+        """Put node at xy; to a holder of ``legs`` this is a leg change."""
         self._pos[node] = tuple(xy)
-        self._xy = self._arrays()
+        self._arrays()
+        self.legs = self.legs.copy()
+        self.legs[node] += 1
 
     def position(self, node, t_us):
         return self._pos[node]

@@ -117,11 +117,9 @@ class AodvRouter(ReactiveProtocol):
         entry.expires_at = self.sim.now + ACTIVE_ROUTE_TIMEOUT_US
         return entry.next_hop
 
-    def has_route(self, dest):
-        return self.route_lookup(dest) is not None
-
-    # Over a known route, data goes hop by hop.
-    _send = ReactiveProtocol._forward
+    def _send(self, data, next_hop):
+        """Send data from its source to next_hop; it goes on hop by hop."""
+        self._unicast(next_hop, data.app.size, DATA, data)
 
     # -- discovery ----------------------------------------------------
 

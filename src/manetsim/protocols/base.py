@@ -151,9 +151,9 @@ class ReactiveProtocol(RoutingProtocol):
     repeated every DISCOVERY_TIMEOUT_US, up to RREQ_RETRIES times, and then
     the buffered packets are dropped.  When a route becomes known,
     ``_release`` sends what waits and ends the discovery.  Subclasses supply
-    ``has_route(dest)``, ``_send(data)`` over a known route,
-    ``originate_rreq(dest)`` and ``rreq_kind``, the frame kind of a route
-    request, whose payload carries its ``Flood``.
+    ``route_lookup(dest)``, the route to dest or None, ``_send(data, route)``
+    over that route, ``originate_rreq(dest)`` and ``rreq_kind``, the frame
+    kind of a route request, whose payload carries its ``Flood``.
     """
 
     def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
@@ -168,10 +168,10 @@ class ReactiveProtocol(RoutingProtocol):
             mask &= ~frame.payload.flood.seen
         super().deliver_broadcast(routers, mask, frame)
 
-    def has_route(self, dest):
+    def route_lookup(self, dest):
         raise NotImplementedError
 
-    def _send(self, data):
+    def _send(self, data, route):
         raise NotImplementedError
 
     def originate_rreq(self, dest):
@@ -179,8 +179,9 @@ class ReactiveProtocol(RoutingProtocol):
 
     def send_app_packet(self, pkt):
         data = DataPacket(pkt)
-        if self.has_route(pkt.dst):
-            self._send(data)
+        route = self.route_lookup(pkt.dst)
+        if route is not None:
+            self._send(data, route)
         else:
             self._buffer(pkt.dst, data)
             self._start_discovery(pkt.dst)
@@ -204,7 +205,7 @@ class ReactiveProtocol(RoutingProtocol):
         state = self.pending.get(dest)
         if state is None:
             return
-        if self.has_route(dest):
+        if self.route_lookup(dest) is not None:
             del self.pending[dest]
             return
         if state[0] < RREQ_RETRIES:
@@ -229,12 +230,13 @@ class ReactiveProtocol(RoutingProtocol):
         buffered = self.buffers.get(dest)
         if not buffered:
             # Nothing waits: leave the route's expiry alone (AODV's
-            # has_route refreshes it).
+            # route_lookup refreshes it).
             return True
-        if not self.has_route(dest):
+        route = self.route_lookup(dest)
+        if route is None:
             return False
         del self.buffers[dest]
         self._stop_discovery(dest)
         for data in buffered:
-            self._send(data)
+            self._send(data, route)
         return True

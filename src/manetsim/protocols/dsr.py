@@ -117,12 +117,13 @@ class DsrRouter(ReactiveProtocol):
 
     # -- sending ------------------------------------------------------
 
-    def has_route(self, dest):
-        return self.cache.find(self.node_id, dest) is not None
+    def route_lookup(self, dest):
+        """The cached source route to dest, or None."""
+        return self.cache.find(self.node_id, dest)
 
-    def _send(self, data):
-        """Send data from its source along the cached route."""
-        data.route = self.cache.find(self.node_id, data.app.dst)
+    def _send(self, data, route):
+        """Send data from its source along route."""
+        data.route = route
         data.idx = 1
         self._unicast_data(data)
 

@@ -7,14 +7,32 @@ models collisions as overlapping airtimes at a common receiver, and
 retries unicasts before declaring a link broken.  The ideal MAC is
 lossless within range with no queueing or collisions; it exists for oracle
 tests and also drives the ``static-ideal`` workload and golden ``FIXED`` cells.
+
+Who is in range is one int bit mask per node, kept right at every query
+without evaluating positions until a link can change.  Movement is piecewise
+linear, so on the current legs a pair's squared distance is a quadratic in
+time.  When a node changes legs its row is evaluated exactly, and for each
+of its pairs the radio solves when the squared distance next enters a narrow
+band around range**2 and queues a review of the pair for then.  A review
+evaluates the pair exactly and comes back at the next microsecond while the
+pair stays inside the band, where rounding alone can flip its verdict.  The
+reviews live in the radio's own heap, off the event queue.
 """
 
 import math
 from collections import Counter
+from heapq import heappop, heappush
 
 import numpy as np
 
 BROADCAST = -1
+
+# Half-width of the band around range**2, relative to (range + extent)**2,
+# inside which a pair of nodes is re-evaluated at every query.  Evaluating
+# positions and squared distances in float64 is off by a few ulps of
+# (range + extent)**2, so a pair that stays outside the band keeps the
+# verdict of its last exact evaluation.
+BAND = 1e-9
 
 DEFAULT_RANGE_M = 250.0        # nominal two-ray-ground range at default power
 DEFAULT_BANDWIDTH_BPS = 2_000_000
@@ -81,28 +99,117 @@ class Radio:
         # Transmissions that may still overlap a new one (end > now).
         self._on_air = []
         self.stats = Counter()
+        # Reach masks, exact for any query before _due, and the heap of pair
+        # reviews that keeps them so: (due, j, k, leg of j, leg of k).
+        self._masks = [0] * node_count
+        self._legs = np.full(node_count, -1)   # mobility.legs the masks follow
+        self._stamps = None                    # the same, as a list
+        self._reviews = []
+        self._due = 0
+        self._band = 0.0
 
     # -- connectivity -------------------------------------------------
 
     def airtime_us(self, size):
         return int(math.ceil(size * 8 * 1_000_000 / self.link.bandwidth_bps))
 
-    def in_range(self, a, b, t_us):
-        ax, ay = self.mobility.position(a, t_us)
-        bx, by = self.mobility.position(b, t_us)
-        dx, dy = ax - bx, ay - by
-        r = self.link.range_m
-        return dx * dx + dy * dy <= r * r
-
     def _reach(self, node, t_us):
         """Nodes within Euclidean distance <= range of node at t_us, node
         itself excluded, as an int bit mask."""
-        xy = self.mobility.positions_xy(t_us)
-        d = xy - xy[:, node, None]
-        d *= d
-        r = self.link.range_m
-        within = np.packbits(d[0] + d[1] <= r * r, bitorder="little")
-        return int.from_bytes(within, "little") & ~(1 << node)
+        if t_us >= self._due or self.mobility.legs is not self._legs:
+            self._review(t_us)
+        return self._masks[node]
+
+    def _review(self, t_us):
+        """Bring every mask up to t_us: evaluate exactly the row of each node
+        whose leg changed and each pair whose review is due.  The verdict is
+        dx*dx + dy*dy <= range**2 over the positions at t_us."""
+        mob = self.mobility
+        xy = mob.positions_xy(t_us)
+        rr = self.link.range_m * self.link.range_m
+        masks = self._masks
+        if mob.legs is not self._legs:
+            self._new_legs(t_us, xy, rr)
+        reviews = self._reviews
+        stamps = self._stamps
+        due = set()
+        while reviews and reviews[0][0] <= t_us:
+            _, j, k, leg_j, leg_k = heappop(reviews)
+            if stamps[j] == leg_j and stamps[k] == leg_k:
+                due.add((j, k))
+        xs, ys = xy
+        for j, k in due:
+            dx = xs[k] - xs[j]
+            dy = ys[k] - ys[j]
+            sq = dx * dx + dy * dy
+            if sq <= rr:
+                masks[j] |= 1 << k
+                masks[k] |= 1 << j
+            else:
+                masks[j] &= ~(1 << k)
+                masks[k] &= ~(1 << j)
+            if abs(sq - rr) <= self._band:
+                heappush(reviews, (t_us + 1, j, k, stamps[j], stamps[k]))
+        # Reviews of pairs that changed legs since are dropped unseen.
+        while reviews and (stamps[reviews[0][1]] != reviews[0][3]
+                           or stamps[reviews[0][2]] != reviews[0][4]):
+            heappop(reviews)
+        self._due = min(reviews[0][0] if reviews else math.inf, mob.next_transition)
+
+    def _new_legs(self, t_us, xy, rr):
+        """Redo the rows of the nodes whose leg changed, and queue a review
+        of each of their pairs for every time that pair's squared distance,
+        a quadratic in time on the current legs, enters the band around
+        range**2 before either leg ends; at t_us + 1 for a pair inside it
+        now.  Past a leg's end the leg change itself redoes the row."""
+        mob = self.mobility
+        legs = mob.legs
+        moved = np.flatnonzero(legs != self._legs)
+        self._legs = legs
+        stamps = self._stamps = legs.tolist()
+        band = self._band = BAND * (self.link.range_m + mob.extent) ** 2
+        masks = self._masks
+        d = xy[:, None, :] - xy[:, moved, None]   # row i: xy - xy[:, moved[i]]
+        sq = d[0] * d[0] + d[1] * d[1]
+        within = sq <= rr
+        movers = moved.tolist()
+        kept = ~sum(1 << j for j in movers)
+        masks[:] = [m & kept for m in masks]
+        for j, near in zip(movers, within):
+            bit = 1 << j
+            for k in np.flatnonzero(near).tolist():
+                masks[k] |= bit
+        for j, row in zip(movers, np.packbits(within, axis=1, bitorder="little")):
+            masks[j] = int.from_bytes(row, "little") & ~(1 << j)
+
+        # One set of reviews per pair; a pair of two movers from the lower.
+        still = np.ones(len(masks), dtype=bool)
+        still[moved] = False
+        i, k = np.nonzero(still | (np.arange(len(masks)) > moved[:, None]))
+        j = moved[i]
+        d = d[:, i, k]
+        sq = sq[i, k]
+        w = mob.velocity[:, k] - mob.velocity[:, j]
+        qa = w[0] * w[0] + w[1] * w[1]
+        qb = 2 * (d[0] * w[0] + d[1] * w[1])
+        above = sq - (rr + band)      # > 0: outside the band, above it
+        below = sq - (rr - band)      # < 0: inside the band's inner edge
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Entry from above: the first root of q = rr + band, while q falls.
+            root = np.sqrt(qb * qb - 4 * qa * above)
+            down = np.where((above > 0) & (qb < 0), 2 * above / (root - qb), np.nan)
+            # Entry from below: the larger root of q = rr - band, in the
+            # form that does not cancel.
+            root = np.sqrt(qb * qb - 4 * qa * below)
+            up = np.where(qb < 0, (root - qb) / (2 * qa), 2 * below / (-qb - root))
+        now = np.where((above <= 0) & (below >= 0), 1.0, np.nan)
+        horizon = np.minimum(mob.leg_end[j], mob.leg_end[k]) - t_us
+        reviews = self._reviews
+        for tau in (now, down, up):
+            ahead = (tau > 0) & (tau < horizon)   # NaN: no such entry
+            for at, a, b in zip((t_us + np.maximum(tau[ahead], 1.0)).tolist(),
+                                j[ahead].tolist(), k[ahead].tolist()):
+                heappush(reviews, (at, a, b, stamps[a], stamps[b]))
 
     def register_link_break(self, node, callback):
         self._link_break[node] = callback
@@ -192,18 +299,16 @@ class Radio:
     def _unicast_attempt(self, src, dst, frame, tries_left):
         sim = self.sim
         start, end = self._transmit(src, frame, "tx_unicast")
+        mask = self._reach(src, sim.now)
+        in_range_at_start = mask >> dst & 1
         tx = None
-        if self.ideal:
-            in_range_at_start = self.in_range(src, dst, sim.now)
-        else:
-            mask = self._reach(src, sim.now)
-            in_range_at_start = mask >> dst & 1
-            if in_range_at_start:   # heard (and interfering) at every node in range
-                tx = self._note_signals(start, end, mask)
+        if in_range_at_start and not self.ideal:
+            # Heard, and interfering, at every node in range.
+            tx = self._note_signals(start, end, mask)
         arrive = end + self.link.per_hop_latency_us
 
         def resolve():
-            ok = in_range_at_start and self.in_range(src, dst, sim.now)
+            ok = in_range_at_start and self._reach(src, sim.now) >> dst & 1
             if ok and tx is not None and tx.collided >> dst & 1:
                 ok = False
                 self.stats["rx_collision"] += 1

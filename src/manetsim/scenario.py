@@ -17,6 +17,13 @@ from .traffic import TrafficGenerator, setup_flows
 # once collisions exist.
 FLOOD_JITTER_US = 10_000
 
+# The shortest time, in seconds, in which a node may cross the area's
+# diagonal at max_speed: a thousand ticks of the microsecond clock, so that
+# rounding a leg up to whole microseconds changes a crossing by at most
+# 0.1%.  Shorter crossings bring legs down to the one-tick floor, one leg
+# per node per simulated microsecond.
+MIN_CROSSING_S = 1e-3
+
 PROTOCOL_NAMES = ("DSDV", "AODV", "DSR")
 MAC_MODES = ("realistic", "ideal")
 
@@ -71,6 +78,10 @@ class ScenarioConfig:
         if (self.sim_time + self.drain + leg_s) * US_PER_S >= 2 ** 63:
             errors.append(f"legs at min_speed {self.min_speed} or pauses of "
                           f"{self.pause_time} s overrun the microsecond clock")
+        if self.pause_time != STATIC and diagonal < self.max_speed * MIN_CROSSING_S:
+            errors.append(f"a {self.area_width} x {self.area_height} m area is "
+                          f"crossed in under {MIN_CROSSING_S} s at max_speed "
+                          f"{self.max_speed}")
         if not self.sim_time > self.warmup >= 0:
             errors.append("need sim_time > warmup >= 0")
         if self.n_flows < 1 or self.n_flows > self.node_count // 2:

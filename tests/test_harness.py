@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import manetsim.sweep as sweep
 from manetsim.cli import load_config_file, main
@@ -47,6 +47,13 @@ def test_validation_rejects_negative_and_non_finite(name, value):
     assert ScenarioConfig(**{name: value}).validate()
 
 
+def test_validation_rejects_areas_crossed_in_under_a_millisecond():
+    tiny = dict(area_width=0.01, area_height=0.01)
+    assert ScenarioConfig(max_speed=100.0, **tiny).validate()
+    assert ScenarioConfig(max_speed=10.0, **tiny).validate() == []
+    assert ScenarioConfig(max_speed=100.0, pause_time=STATIC, **tiny).validate() == []
+
+
 def test_static_pause_is_accepted():
     assert ScenarioConfig(pause_time=STATIC).validate() == []
     assert ScenarioConfig(pause_time=-1.0).validate()
@@ -62,12 +69,17 @@ positive = dict(allow_nan=False, allow_infinity=False, exclude_min=True)
        speeds=st.tuples(st.floats(0.0, 100.0, **positive),
                         st.floats(0.0, 100.0, **positive)).map(sorted),
        pause_time=st.one_of(st.just(STATIC), st.floats(0.0, 1e15)),
-       # Below about a millimetre every leg lasts a microsecond or so, and a
-       # run takes minutes; that is slow, not a validation hole.
-       area=st.tuples(st.floats(1.0, 1e6), st.floats(1.0, 1e6)),
+       # From 0.1 mm up: validate() rejects the areas a node crosses in
+       # under a millisecond, at 100 m/s squares below about 7 cm.
+       area=st.tuples(st.integers(-4, 5), st.floats(0.1, 10.0)).map(
+           lambda a: (10.0 ** a[0], 10.0 ** a[0] * a[1])),
        radio_range=st.floats(0.0, 1e4, **positive),
        per_hop_latency=st.floats(0.0, 1.0),
        sim_time=st.floats(0.5, 5.0))
+# Just above the bound: legs of about half a millisecond for 5 s.
+@example(protocol="DSR", mac_mode="realistic", node_count=8, speeds=[50.0, 100.0],
+         pause_time=0.0, area=(0.08, 0.08), radio_range=250.0,
+         per_hop_latency=0.001, sim_time=5.0)
 def test_valid_config_runs_to_completion(protocol, mac_mode, node_count, speeds,
                                          pause_time, area, radio_range,
                                          per_hop_latency, sim_time):

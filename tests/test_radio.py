@@ -1,11 +1,15 @@
-"""Link model: range, airtime, serialization, collisions, retries."""
+"""Link model: range and reach masks, airtime, serialization, collisions,
+retries."""
 
 import math
+from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+import manetsim.mobility as mobility
 from manetsim.engine import Simulator
-from manetsim.mobility import FixedPositions
+from manetsim.mobility import FixedPositions, RandomWaypoint
 from manetsim.radio import BROADCAST, Frame, LinkModel, Radio
 
 US = 1_000_000
@@ -41,8 +45,8 @@ def test_airtime_is_ceiled_bits_over_bandwidth():
 
 def test_in_range_is_symmetric_boundary_inclusive():
     _, radio, _ = make_radio([(0, 0), (250, 0), (250.1, 0)])
-    assert radio.in_range(0, 1, 0) and radio.in_range(1, 0, 0)
-    assert not radio.in_range(0, 2, 0)
+    assert radio._reach(0, 0) >> 1 & 1 and radio._reach(1, 0) >> 0 & 1
+    assert not radio._reach(0, 0) >> 2 & 1
 
 
 def test_neighbors_matches_brute_force_oracle():
@@ -66,6 +70,174 @@ def test_neighbors_oracle_random_layouts(positions):
         oracle = {j for j in range(n) if j != node
                   and math.dist(positions[node], positions[j]) <= 250.0}
         assert set(nodes(radio._reach(node, 0))) == oracle
+
+
+# -- reach masks against brute force ---------------------------------------
+
+def brute_force_reach(mob, range_m, node, t_us):
+    """The definition of reach: the nodes within distance range_m of node at
+    t_us, node excluded, as a bit mask, evaluated from all positions."""
+    xy = mob.positions_xy(t_us)
+    d = xy - xy[:, node, None]
+    d *= d
+    within = np.flatnonzero(d[0] + d[1] <= range_m * range_m).tolist()
+    return sum(1 << k for k in within if k != node)
+
+
+def assert_masks_match(radio, oracle, range_m, queries):
+    """Query the radio at each (t_us, node), in order, and compare every
+    node's mask at that time with brute force over the oracle's twin
+    mobility model."""
+    n = radio.node_count
+    for t, node in queries:
+        assert radio._reach(node % n, t) == brute_force_reach(oracle, range_m, node % n, t)
+        for other in range(n):
+            assert radio._reach(other, t) == brute_force_reach(oracle, range_m, other, t), \
+                (t, other)
+
+
+class Script:
+    """Stands in for a node's random stream: uniform() returns the scripted
+    values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def uniform(self, lo, hi):
+        return next(self._values)
+
+
+def scripted_waypoint(start, legs, pause_time):
+    """A RandomWaypoint whose draws are scripted: node i starts at start[i]
+    and walks the (x, y, speed) legs of legs[i] in turn, then creeps 1 m at
+    1 nm/s, which outlasts any test."""
+    streams = {"mobility:init": [c for p in start for c in p]}
+    for i, node_legs in enumerate(legs):
+        x, y = node_legs[-1][:2] if node_legs else start[i]
+        streams[f"mobility:{i}"] = [v for leg in [*node_legs, (x + 1.0, y, 1e-9)]
+                                    for v in leg]
+    with mock.patch.object(mobility, "RngStream",
+                           lambda seed, name: Script(streams[name])):
+        return RandomWaypoint(len(start), 2000.0, 2000.0, 10.0, seed=0,
+                              pause_time=pause_time)
+
+
+def waypoint_radio(make_mobility, range_m):
+    """(radio, oracle): a radio over one model and a twin model for brute
+    force, so that the oracle's queries never advance the radio's model."""
+    mob = make_mobility()
+    radio = Radio(Simulator(), mob, mob.node_count, link=LinkModel(range_m=range_m))
+    return radio, make_mobility()
+
+
+query_steps = st.lists(
+    st.tuples(st.one_of(st.integers(0, 2_000), st.integers(0, 3 * US)),
+              st.integers(0, 63)), min_size=1, max_size=40)
+
+
+def query_times(steps, start=0):
+    t = start
+    for step, node in steps:
+        t += step
+        yield t, node
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12),
+       side=st.floats(50.0, 800.0), range_m=st.floats(20.0, 400.0),
+       max_speed=st.floats(1.0, 30.0), pause=st.sampled_from([0.0, 20.0]),
+       rnd=st.randoms(use_true_random=False))
+def test_reach_masks_match_brute_force_random_waypoint(seed, n, side, range_m,
+                                                       max_speed, pause, rnd):
+    radio, oracle = waypoint_radio(
+        lambda: RandomWaypoint(n, side, side, max_speed, seed, pause_time=pause),
+        range_m)
+    # Steps from a plain random stream: a millisecond or up to 3 s apart.
+    steps = [(rnd.choice((rnd.randint(0, 2_000), rnd.randint(0, 3 * US))),
+              rnd.randrange(n)) for _ in range(40)]
+    assert_masks_match(radio, oracle, range_m, query_times(steps))
+
+
+def test_reach_masks_match_brute_force_dense_queries():
+    """A query every millisecond while links come and go: each link change
+    is seen within a millisecond of when it happens."""
+    radio, oracle = waypoint_radio(
+        lambda: RandomWaypoint(10, 200.0, 200.0, 20.0, seed=5, pause_time=0.0), 100.0)
+    for t in range(0, 20 * US, 1000):
+        node = t // 1000 % 10
+        assert radio._reach(node, t) == brute_force_reach(oracle, 100.0, node, t), t
+
+
+# Offsets whose length is exactly 250 m in binary floating point.
+RANGE_OFFSETS = [(150.0, 200.0), (200.0, -150.0), (-70.0, 240.0), (240.0, 70.0),
+                 (0.0, 250.0), (-250.0, 0.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.tuples(st.floats(0.0, 800.0), st.floats(0.0, 800.0)),
+       heading=st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0)),
+       speed=st.floats(0.5, 25.0), steps=query_steps)
+@example(base=(300.0, 300.0), heading=(410.3, -77.7), speed=12.5,
+         steps=[(997, 0)] * 40)      # the verdicts of node 0 change 33 times
+def test_reach_masks_match_brute_force_grazing_pairs(base, heading, speed, steps):
+    """Parallel legs at distance exactly the range: rounding alone moves
+    the pair in and out of range, and every such verdict must agree."""
+    bx, by = base
+    hx, hy = heading
+    start = [(bx, by)] + [(bx + ox, by + oy) for ox, oy in RANGE_OFFSETS]
+    legs = [[(x + hx, y + hy, speed)] for x, y in start]
+    radio, oracle = waypoint_radio(lambda: scripted_waypoint(start, legs, 0.0), 250.0)
+    assert_masks_match(radio, oracle, 250.0, query_times(steps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(offset=st.sampled_from(RANGE_OFFSETS), speed=st.floats(0.5, 25.0),
+       approach=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+       steps=query_steps)
+def test_reach_masks_match_brute_force_pause_on_boundary(offset, speed, approach,
+                                                         steps):
+    """Node 0 walks to a point exactly the range from node 1, pauses there
+    for 20 s and walks on, while node 1 rests."""
+    ox, oy = offset
+    stop = (500.0 + ox, 500.0 + oy)
+    start = [(stop[0] + approach[0], stop[1] + approach[1]), (500.0, 500.0)]
+    legs = [[(*stop, speed), (100.0, 900.0, speed)], []]
+    radio, oracle = waypoint_radio(lambda: scripted_waypoint(start, legs, 20.0), 250.0)
+    assert_masks_match(radio, oracle, 250.0, query_times(steps))
+
+
+positions_int = st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+                         min_size=2, max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positions=positions_int,
+       moves=st.lists(st.tuples(st.integers(0, 9),
+                                st.one_of(st.sampled_from(RANGE_OFFSETS),
+                                          st.tuples(st.integers(-300, 300),
+                                                    st.integers(-300, 300)),
+                                          st.tuples(st.floats(-300, 300),
+                                                    st.floats(-300, 300))),
+                                st.integers(0, 2), st.integers(0, 1_000)),
+                      max_size=15))
+@example(positions=[(0, 0), (150, 200), (250, 0), (251, 0)], moves=[])
+def test_reach_masks_match_brute_force_fixed_positions_and_moves(positions, moves):
+    """Integer positions (an int64 array) and moves between queries, some of
+    them to exactly the range from node 0, some at the same instant."""
+    fixed = FixedPositions(positions)
+    oracle = FixedPositions(positions)
+    radio = Radio(Simulator(), fixed, fixed.node_count)
+    n = fixed.node_count
+    t = 0
+    assert_masks_match(radio, oracle, 250.0, [(t, 0)])
+    for node, xy, from_node_0, step in moves:
+        if from_node_0 == 0:
+            x0, y0 = oracle.positions_xy(t)[:, 0].tolist()
+            xy = (x0 + xy[0], y0 + xy[1])
+        for mob in (fixed, oracle):
+            mob.move(node % n, xy)
+        t += step
+        assert_masks_match(radio, oracle, 250.0, [(t, node)])
 
 
 def test_broadcast_reaches_only_nodes_in_range():
