@@ -51,6 +51,14 @@ class Flood:
         return not seen >> node & 1
 
 
+def receivers(mask):
+    """The nodes whose bits are set in a receiver mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def connect(radio, routers):
     """Hand the radio's frames to routers: a unicast to its receiver, a
     broadcast to all of its receivers in one call."""
@@ -87,10 +95,8 @@ class RoutingProtocol:
     @classmethod
     def deliver_broadcast(cls, routers, mask, frame):
         """Hand a broadcast frame to the routers in mask, in node order."""
-        while mask:
-            low = mask & -mask
-            routers[low.bit_length() - 1].handle_frame(frame)
-            mask ^= low
+        for node in receivers(mask):
+            routers[node].handle_frame(frame)
 
     def handle_link_break(self, dead_neighbor, frame):
         raise NotImplementedError

@@ -4,14 +4,16 @@ Every node periodically floods a full table dump carrying per-destination
 sequence numbers.  An advertised route replaces the stored one when its
 sequence number is newer, or when it is equally fresh with a strictly
 smaller hop count; otherwise the advertisement is ignored.  Broken links
-invalidate routes by making their sequence number odd.
+invalidate routes by making their sequence number odd.  The rule is one
+compare of ranks: a dump meets the rows of all its receivers in one rank
+array at once, and only the rows that win reach a receiver's install loop.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .base import DATA, DataPacket, RoutingProtocol
+from .base import DATA, DataPacket, RoutingProtocol, receivers
 
 ADVERTISE_INTERVAL_US = 15_000_000
 ADVERTISE_JITTER = 0.2              # +-20% around the nominal interval
@@ -57,19 +59,37 @@ Route = namedtuple("Route", "next_hop hops seq")
 
 
 def _update(origin, rows):
-    """The update message origin sends for a copy of its (dest, seq, hops)
-    rows: (origin, entries, dests, ranks), where entries are those rows
-    made, in place, into what a receiver installs (one hop further unless
-    unreachable) and ranks are their _rank."""
+    """The update origin sends for a copy of its (dest, seq, hops) rows:
+    (origin, entries, dests, ranks), entries those rows made, in place, into
+    what a receiver installs (one hop further unless unreachable)."""
     hops = rows[:, 2]
     hops += hops < INFINITY
     return origin, rows, rows[:, 0], _rank(rows[:, 1], hops)
 
 
+class RankArray:
+    """The ranks of the routes of routers: row i is routers[i]._ranks."""
+
+    def __init__(self, routers, size):
+        self.routers = routers
+        self.grow(size)
+
+    def grow(self, size):
+        """Extend every table to size destinations, none routed, and rebuild."""
+        for router in self.routers:
+            new = np.full((size - len(router._rows), 4), NO_ROUTE)
+            new[:, 0] = np.arange(len(router._rows), size)
+            router._rows = np.concatenate((router._rows, new))
+            router._network = self
+        rows = np.stack([router._rows for router in self.routers])
+        self.ranks = _rank(rows[..., 1], rows[..., 2])
+        for router, ranks in zip(self.routers, self.ranks):
+            router._ranks = ranks
+
+
 class DsdvRouter(RoutingProtocol):
-    """The routing table is three arrays indexed by destination: the
-    (dest, seq, hops) rows, the next hops, and the _rank of each row
-    (UNRANKED where there is no route)."""
+    """The table: (dest, seq, hops, next hop) rows by destination and their
+    ranks, a row of its own RankArray until a run's first update joins all."""
 
     name = "dsdv"
 
@@ -77,9 +97,8 @@ class DsdvRouter(RoutingProtocol):
         super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
         self.own_seq = 0
         self._settling = {}       # dest -> (prev_next_hop, prev_hops, deadline_us)
-        self._rows = np.empty((0, 3), dtype=np.int64)
-        self._next_hop = np.empty(0, dtype=np.int64)
-        self._grow(max(radio.node_count, node_id + 1))
+        self._rows = np.empty((0, 4), dtype=np.int64)
+        RankArray([self], max(radio.node_count, node_id + 1))
         self._own_route()
         self._last_dump_us = -TRIGGER_SPACING_US
         self._trigger_pending = False
@@ -92,9 +111,8 @@ class DsdvRouter(RoutingProtocol):
     def table(self):
         """The routes as {dest: Route}, built from the arrays; writing to it
         changes nothing."""
-        dests = (self._ranks != UNRANKED).nonzero()[0]
-        return {dest: Route(next_hop, hops, seq) for (dest, seq, hops), next_hop
-                in zip(self._rows[dests].tolist(), self._next_hop[dests].tolist())}
+        return {dest: Route(next_hop, hops, seq) for dest, seq, hops, next_hop
+                in self._rows[self._ranks != UNRANKED].tolist()}
 
     # -- advertising --------------------------------------------------
 
@@ -112,13 +130,12 @@ class DsdvRouter(RoutingProtocol):
     def _own_route(self):
         """Store the route to the router itself: own_seq, no hops."""
         me = self.node_id
-        self._rows[me] = me, self.own_seq, 0
-        self._next_hop[me] = me
+        self._rows[me] = me, self.own_seq, 0, me
         self._ranks[me] = _rank(self.own_seq, 0)
 
     def _dump(self):
         """Broadcast every route, in destination order, own one included."""
-        rows = self._rows[self._ranks != UNRANKED]
+        rows = self._rows[self._ranks != UNRANKED, :3]
         size = UPDATE_HEADER_BYTES + UPDATE_ENTRY_BYTES * len(rows)
         self._last_dump_us = self.sim.now
         self._trigger_pending = False
@@ -141,51 +158,62 @@ class DsdvRouter(RoutingProtocol):
 
     # -- update acceptance --------------------------------------------
 
+    @classmethod
+    def deliver_broadcast(cls, routers, mask, frame):
+        """Compare an update (DSDV's only broadcast) with the ranks of all its
+        receivers at once, each one's own destination left out; then, in node
+        order, each receiver with winning rows installs them."""
+        origin, entries, dests, ranks = frame.payload
+        network = routers[0]._network
+        if network.routers is not routers:      # the run's first update
+            network = RankArray(routers, max(len(router._rows) for router in routers))
+        nodes = np.array(list(receivers(mask)))
+        stored = network.ranks.take(nodes, 0)
+        if len(dests) < stored.shape[1]:    # not a dump of every destination
+            stored = stored.take(dests, 1)
+        wins = ranks > stored
+        wins &= dests != nodes[:, None]
+        who, won = np.divmod(np.flatnonzero(wins), len(dests))
+        if not len(won):
+            return
+        who = nodes[who].tolist() + [-1]        # -1 closes the last run of rows
+        rows, ranks = entries[won].tolist(), ranks[won].tolist()
+        first = 0
+        for at, node in enumerate(who):
+            if node != who[first]:
+                routers[who[first]].handle_update(
+                    (origin, rows[first:at], ranks[first:at]))
+                first = at
+
     def apply_update_entry(self, dest, adv_seq, adv_hops, origin):
-        """Process one advertised (dest, seq, hops) triple from a neighbor,
-        as a one-row update message.  Returns True when the route is
-        installed per the acceptance rule: newer sequence number always
-        wins; an equally fresh route wins only with a strictly smaller hop
-        count.
-        """
-        msg = _update(origin, np.array([(dest, adv_seq, adv_hops)]))
-        before = self._stored(msg[2])[0]
-        self._merge(*msg)
-        return bool(self._ranks[dest] != before)
+        """Process one advertised (dest, seq, hops) triple from a neighbor
+        as a one-row update; True when the acceptance rule installs it."""
+        _, rows, _, ranks = _update(origin, np.array([(dest, adv_seq, adv_hops)]))
+        if dest >= len(self._ranks):        # a destination beyond the table
+            self._network.grow(2 * dest + 1)
+        if dest == self.node_id or ranks[0] <= self._ranks[dest]:
+            return False
+        self._install(origin, rows.tolist(), ranks.tolist())
+        return True
 
     def handle_update(self, msg):
-        """Apply a full-dump update message; returns changed destinations."""
-        changed = self._merge(*msg)
+        """Install the winning rows of an update, msg = (origin, rows,
+        ranks); returns the destinations whose metric or validity changed."""
+        changed = self._install(*msg)
         if changed:
             self._trigger_update()
         return changed
 
-    def _merge(self, origin, entries, dests, ranks):
-        """Install every advertised row from neighbor origin whose rank
-        beats the stored route's, except the router's own; returns the
-        destinations whose metric or validity changed.
-
-        A full dump touches every destination, and most rows lose, so the
-        rule is one vector compare and only the winners reach the loop,
-        which keeps the hold-down in step.
-        """
-        fresher = (ranks > self._stored(dests)).nonzero()[0]
-        if not len(fresher):
-            return []
+    def _install(self, origin, rows, ranks):
+        """Install (dest, seq, hops) rows from neighbor origin that beat
+        the stored routes, none the router's own, with their hold-downs."""
         changed = []
-        me = self.node_id
         now = self.sim.now
         settling = self._settling
-        rows, next_hops, table_ranks = self._rows, self._next_hop, self._ranks
-        for (dest, seq, hops), rank in zip(entries[fresher].tolist(),
-                                           ranks[fresher].tolist()):
-            if dest == me:
-                continue
-            prev_seq, prev_hops = rows.item(dest, 1), rows.item(dest, 2)
-            prev_next = next_hops.item(dest)
-            rows[dest, 1] = seq
-            rows[dest, 2] = hops
-            next_hops[dest] = origin
+        table_rows, table_ranks = self._rows, self._ranks
+        for (dest, seq, hops), rank in zip(rows, ranks):
+            _, prev_seq, prev_hops, prev_next = table_rows[dest].tolist()
+            table_rows[dest, 1:] = seq, hops, origin
             table_ranks[dest] = rank
             was_valid = _valid(prev_seq, prev_hops)
             now_valid = _valid(seq, hops)
@@ -198,24 +226,6 @@ class DsdvRouter(RoutingProtocol):
             if hops != prev_hops or was_valid != now_valid:
                 changed.append(dest)
         return changed
-
-    def _stored(self, dests):
-        """The ranks of the stored routes to dests."""
-        try:
-            return self._ranks[dests]
-        except IndexError:          # a destination beyond the arrays
-            self._grow(2 * int(dests.max()) + 1)
-            return self._ranks[dests]
-
-    def _grow(self, size):
-        """Extend the table to size destinations, with no route to the new
-        ones."""
-        old = len(self._rows)
-        new = np.full((size - old, 3), NO_ROUTE)
-        new[:, 0] = np.arange(old, size)
-        self._rows = np.concatenate((self._rows, new))
-        self._next_hop = np.concatenate((self._next_hop, np.full(size - old, NO_ROUTE)))
-        self._ranks = _rank(self._rows[:, 1], self._rows[:, 2])
 
     # -- link failure -------------------------------------------------
 
@@ -231,7 +241,7 @@ class DsdvRouter(RoutingProtocol):
         infinite hops); returns the invalidated destinations.  The own
         route's next hop is the router itself, never a neighbor."""
         rows = self._rows
-        out = ((self._next_hop == dead_neighbor)
+        out = ((rows[:, 3] == dead_neighbor)
                & _valid(rows[:, 1], rows[:, 2])).nonzero()[0]
         rows[out, 1] += 1
         rows[out, 2] = INFINITY
@@ -253,14 +263,11 @@ class DsdvRouter(RoutingProtocol):
                 return sh[0]
             del self._settling[dest]
         if _valid(self._rows.item(dest, 1), self._rows.item(dest, 2)):
-            return self._next_hop.item(dest)
+            return self._rows.item(dest, 3)
         return None
 
     def send_app_packet(self, pkt):
         self._forward(DataPacket(pkt))
 
-    def handle_frame(self, frame):
-        if frame.kind == UPDATE:
-            self.handle_update(frame.payload)
-        elif frame.kind == DATA:
-            self._receive_data(frame.payload)
+    def handle_frame(self, frame):       # data; updates come to deliver_broadcast
+        self._receive_data(frame.payload)

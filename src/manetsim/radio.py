@@ -99,6 +99,7 @@ class Radio:
         # Transmissions that may still overlap a new one (end > now).
         self._on_air = []
         self.stats = Counter()
+        self._airtimes = {}          # frame size -> airtime_us, a handful per run
         # Reach masks, exact for any query before _due, and the heap of pair
         # reviews that keeps them so: (due, j, k, leg of j, leg of k).
         self._masks = [0] * node_count
@@ -111,7 +112,11 @@ class Radio:
     # -- connectivity -------------------------------------------------
 
     def airtime_us(self, size):
-        return int(math.ceil(size * 8 * 1_000_000 / self.link.bandwidth_bps))
+        airtime = self._airtimes.get(size)
+        if airtime is None:
+            airtime = self._airtimes[size] = int(
+                math.ceil(size * 8 * 1_000_000 / self.link.bandwidth_bps))
+        return airtime
 
     def _reach(self, node, t_us):
         """Nodes within Euclidean distance <= range of node at t_us, node

@@ -3,7 +3,7 @@
 from hypothesis import example, given, settings, strategies as st
 
 from manetsim.protocols.dsdv import (INFINITY, SETTLE_US, UPDATE_ENTRY_BYTES,
-                                     UPDATE_HEADER_BYTES)
+                                     UPDATE_HEADER_BYTES, DsdvRouter)
 
 from conftest import Net
 
@@ -16,11 +16,6 @@ def one_router(**kw):
 
 def two_net(**kw):
     return Net([(0, 0), (100, 0)], protocol="DSDV", **kw)
-
-
-def far_pair(node):
-    """Router node of a fresh network of two nodes out of each other's range."""
-    return Net([(0, 0), (1000, 0)], protocol="DSDV").routers[node]
 
 
 # -- acceptance rule ----------------------------------------------------
@@ -93,23 +88,26 @@ def test_dump_size_counts_header_plus_entries():
     assert size == UPDATE_HEADER_BYTES + 2 * UPDATE_ENTRY_BYTES  # self + dest 5
 
 
+def dsdv_net(n):
+    """A network of n DSDV routers, none in range of another."""
+    return Net([(1000 * i, 0) for i in range(n)], protocol="DSDV")
+
+
 def dump_of(sender):
-    """The update message a periodic advertisement of sender broadcasts."""
-    msgs = []
-    sender.radio.on_transmit = lambda frame: msgs.append(frame.payload)
+    """The frame a periodic advertisement of sender broadcasts."""
+    frames = []
+    sender.radio.on_transmit = frames.append
     sender.periodic_advertise()
-    return msgs[-1]
+    return frames[-1]
 
 
-def receiver(held, break_link):
-    """Router 1 of a far pair holding the (dest, seq, hops) routes held,
-    learnt over router 0 (the sender) for even dests and over 3 for odd."""
-    r = far_pair(1)
-    for dest, seq, hops in held:
-        r.apply_update_entry(dest, seq, hops, origin=3 * (dest % 2))
-    if break_link:
-        r.invalidate_via(0)
-    return r
+def hold(router, held, dead):
+    """Install the (dest, seq, hops, origin) routes held one at a time, then
+    break the link to dead, unless it is None."""
+    for dest, seq, hops, origin in held:
+        router.apply_update_entry(dest, seq, hops, origin)
+    if dead is not None:
+        router.invalidate_via(dead)
 
 
 def metric(route):
@@ -119,55 +117,85 @@ def metric(route):
     return route.hops, route.seq % 2 == 0 and route.hops < INFINITY
 
 
-def check_dump_against_rows(sender, held, break_link=False):
-    """Deliver a real dump of sender to a receiver holding held, and apply
-    the same rows one at a time to a twin with apply_update_entry: both
-    must end in the same routes, hold-downs and next hops, the changed
-    list must name each destination whose metric or validity changed, and
-    a row must be installed exactly when the acceptance rule says so."""
-    msg = dump_of(sender)
+def check_dump_against_rows(routes, sender_dead, holdings):
+    """Router 0 holds routes, loses its link to sender_dead and broadcasts
+    a dump, which deliver_broadcast hands to routers 1, 2, ... at once;
+    router r first holds holdings[r - 1] = (held, dead).  A twin of each
+    receiver in a second network applies the same rows one at a time with
+    apply_update_entry.  Each receiver must end in its twin's routes,
+    hold-downs and next hops, its changed list must name each destination
+    whose metric or validity changed, a row must be installed exactly when
+    the acceptance rule says so, and the receivers with a change must send
+    their triggered dumps in node order."""
+    n = len(holdings) + 2
+    net, twins = dsdv_net(n), dsdv_net(n)
+    sender = net.routers[0]
+    # A first update, to the spare last router, joins the network's ranks
+    # into one array, as a run's first update does; tables that grow to
+    # hold the routes below grow after that.
+    DsdvRouter.deliver_broadcast(net.routers, 1 << (n - 1), dump_of(sender))
+    hold(sender, routes, sender_dead)
+    for node, (held, dead) in enumerate(holdings, 1):
+        hold(net.routers[node], held, dead)
+        hold(twins.routers[node], held, dead)
+    frame = dump_of(sender)
     rows = [(dest, route.seq, route.hops) for dest, route in sender.table.items()]
-    dests = msg[1][:, 0].tolist()
+    dests = frame.payload[1][:, 0].tolist()
     assert dests == [dest for dest, _seq, _hops in rows]
     assert len(set(dests)) == len(dests)
-    bulk, ref = receiver(held, break_link), receiver(held, break_link)
-    got = bulk.handle_update(msg)
-    want = []
-    for dest, seq, hops in rows:
-        cur = ref.table.get(dest)
-        installed = ref.apply_update_entry(dest, seq, hops, origin=sender.node_id)
-        hops = hops + 1 if hops < INFINITY else INFINITY
-        assert installed == (dest != ref.node_id and (
-            cur is None or seq > cur.seq or (seq == cur.seq and hops < cur.hops)))
-        if metric(ref.table.get(dest)) != metric(cur):
-            want.append(dest)
-    assert got == want
-    assert bulk.table == ref.table
-    assert bulk._settling == ref._settling
-    for dest in bulk.table:
-        hop = bulk.route_lookup(dest)
-        assert hop == ref.route_lookup(dest)
-        assert hop is None or type(hop) is int
+
+    receivers = range(1, n - 1)
+    got = {node: [] for node in receivers}
+    for router in net.routers[1:-1]:
+        def recorded(msg, handle=router.handle_update, log=got[router.node_id]):
+            changed = handle(msg)
+            log += changed
+            return changed
+        router.handle_update = recorded
+    triggered = []
+    net.radio.on_transmit = lambda fr: triggered.append(fr.src)
+    mask = sum(1 << node for node in receivers)
+    DsdvRouter.deliver_broadcast(net.routers, mask, frame)
+
+    want = {node: [] for node in receivers}
+    for node in receivers:
+        bulk, ref = net.routers[node], twins.routers[node]
+        for dest, seq, hops in rows:
+            cur = ref.table.get(dest)
+            installed = ref.apply_update_entry(dest, seq, hops, origin=0)
+            hops = hops + 1 if hops < INFINITY else INFINITY
+            assert installed == (dest != node and (
+                cur is None or seq > cur.seq or (seq == cur.seq and hops < cur.hops)))
+            if metric(ref.table.get(dest)) != metric(cur):
+                want[node].append(dest)
+        assert got[node] == want[node]
+        assert bulk.table == ref.table
+        assert bulk._settling == ref._settling
+        for dest in bulk.table:
+            hop = bulk.route_lookup(dest)
+            assert hop == ref.route_lookup(dest)
+            assert hop is None or type(hop) is int
+    assert triggered == [node for node in receivers if want[node]]
 
 
-def sender_with(routes):
-    """Router 0 of a far pair holding the (dest, seq, hops, origin) routes."""
-    sender = far_pair(0)
-    for dest, seq, hops, origin in routes:
-        sender.apply_update_entry(dest, seq, hops, origin)
-    return sender
+def one_receiver(held, break_link):
+    """The holdings of a single receiver that learnt the (dest, seq, hops)
+    routes held over the sender for even dests and over 3 for odd, and
+    lost its link to the sender if break_link."""
+    return [([(dest, seq, hops, 3 * (dest % 2)) for dest, seq, hops in held],
+             0 if break_link else None)]
 
 
 def test_handle_update_matches_per_entry_rule():
     """A dump and its rows applied one by one must agree."""
-    sender = sender_with([(2, 6, 1, 4), (3, 7, INFINITY, 4), (4, 0, 2, 5),
-                          (5, 10, 0, 5), (6, 4, 3, 4), (7, 12, 2, 4)])
-    sender.invalidate_via(5)                  # 4 and 5 become odd
-    # 7 arrives fresher but longer over a new next hop: a hold-down starts.
+    routes = [(2, 6, 1, 4), (3, 7, INFINITY, 4), (4, 0, 2, 5), (5, 10, 0, 5),
+              (6, 4, 3, 4), (7, 12, 2, 4)]
+    # 4 and 5 become odd at the sender.  7 arrives fresher but longer over
+    # a new next hop: a hold-down starts.
     held = [(1, 40, 0), (2, 6, 0), (3, 7, 2), (4, 2, 1), (5, 10, 1), (6, 4, 0),
             (7, 10, 0)]
-    check_dump_against_rows(sender, held)
-    check_dump_against_rows(sender, held, break_link=True)
+    check_dump_against_rows(routes, 5, one_receiver(held, False))
+    check_dump_against_rows(routes, 5, one_receiver(held, True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,10 +207,7 @@ def test_handle_update_matches_per_entry_rule():
                 max_size=12),
        st.sampled_from([None, 2, 3]), st.booleans())
 def test_handle_update_equivalence_fuzz(routes, held, dead, break_link):
-    sender = sender_with(routes)
-    if dead is not None:
-        sender.invalidate_via(dead)
-    check_dump_against_rows(sender, held, break_link)
+    check_dump_against_rows(routes, dead, one_receiver(held, break_link))
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,9 +231,30 @@ def test_dump_ranks_skip_only_ignored_entries(pairs, break_link):
     held = [(dest, max(0, seq + dseq),
              hops if hops == INFINITY else max(0, hops + dhops))
             for dest, seq, hops, dseq, dhops in pairs]
-    sender = sender_with([(dest, seq, hops, 2)
-                          for dest, seq, hops, _dseq, _dhops in pairs])
-    check_dump_against_rows(sender, held, break_link)
+    routes = [(dest, seq, hops, 2) for dest, seq, hops, _dseq, _dhops in pairs]
+    check_dump_against_rows(routes, None, one_receiver(held, break_link))
+
+
+# Routes to destinations up to 9 on networks of 3 to 7 nodes, so some
+# tables grow while the routes are installed.
+ROUTE = st.tuples(st.integers(0, 9), st.integers(0, 20),
+                  st.sampled_from([0, 1, 2, 3, INFINITY]), st.integers(0, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ROUTE, max_size=14), st.sampled_from([None, 2, 3, 7]),
+       st.lists(st.tuples(st.lists(ROUTE, max_size=10),
+                          st.sampled_from([None, 0, 2, 3, 7])),
+                min_size=2, max_size=6))
+# The sender re-advertises receiver 1's own route with an odd sequence
+# number above receiver 1's own; receiver 2 installs it, receiver 1 must not.
+@example([(1, 4, 1, 2), (2, 6, 0, 2)], 2, [([], None), ([(1, 2, 0, 0)], None)])
+# Both receivers change, and each has a hold-down before the dump.
+@example([(3, 8, 2, 2), (4, 6, 0, 2)], None,
+         [([(3, 6, 0, 5), (3, 8, 4, 6)], None),
+          ([(4, 4, 0, 5), (4, 6, 3, 6), (9, 2, 0, 5)], 6)])
+def test_dump_to_several_receivers_matches_rows_one_by_one(routes, dead, holdings):
+    check_dump_against_rows(routes, dead, holdings)
 
 
 # -- invalidation -------------------------------------------------------
