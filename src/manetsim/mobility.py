@@ -30,9 +30,6 @@ from .engine import US_PER_S, RngStream
 # Pause-time sentinel: nodes never move (static network mode).
 STATIC = math.inf
 
-# Known speed-decay pathology of random waypoint with min speed 0.
-DEFAULT_MIN_SPEED = 0.1
-
 
 class InvalidNodeCount(Exception):
     pass
@@ -54,8 +51,8 @@ class RandomWaypoint:
     non-decreasing times.
     """
 
-    def __init__(self, node_count, width, height, max_speed, seed,
-                 min_speed=DEFAULT_MIN_SPEED, pause_time=20.0):
+    def __init__(self, node_count, width, height, max_speed, seed, *,
+                 min_speed, pause_time):
         self.node_count = node_count
         self.width = width
         self.height = height

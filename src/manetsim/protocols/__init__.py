@@ -10,12 +10,12 @@ PROTOCOLS = {
 }
 
 
-def make_router(name, node_id, sim, radio, trace, rng, **kwargs):
+def make_router(name, node_id, sim, radio, trace, rng):
     try:
         cls = PROTOCOLS[name.upper()]
     except KeyError:
         raise ValueError(f"unknown protocol {name!r}") from None
-    return cls(node_id, sim, radio, trace, rng, **kwargs)
+    return cls(node_id, sim, radio, trace, rng)
 
 
 __all__ = ["DataPacket", "RoutingProtocol", "DsdvRouter", "AodvRouter",

@@ -73,8 +73,8 @@ class AodvRouter(ReactiveProtocol):
     name = "aodv"
     rreq_kind = RREQ
 
-    def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
-        super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
+    def __init__(self, node_id, sim, radio, trace, rng):
+        super().__init__(node_id, sim, radio, trace, rng)
         self.own_seq = 0
         self.rreq_id = 0
         self.table = {}          # dest -> AodvEntry

@@ -4,7 +4,7 @@ send, discovery and release policy of the reactive ones."""
 
 from collections import deque
 
-from ..radio import BROADCAST, Frame
+from ..radio import Frame
 
 # Safety valve against transient forwarding loops in the distance-vector
 # protocols; DSR routes are loop-free by construction.
@@ -14,6 +14,10 @@ MAX_HOPS = 32
 DISCOVERY_TIMEOUT_US = 1_000_000
 RREQ_RETRIES = 2                    # retries after the initial attempt
 BUFFER_CAPACITY = 64                # per-destination; overflow drops oldest
+
+# Rebroadcast jitter under the realistic MAC; floods need desynchronizing
+# once collisions exist.
+FLOOD_JITTER_US = 10_000
 
 DATA = "data"
 
@@ -72,15 +76,14 @@ class RoutingProtocol:
 
     name = "?"
 
-    def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
+    def __init__(self, node_id, sim, radio, trace, rng):
         self.node_id = node_id
         self.sim = sim
         self.radio = radio
         self.trace = trace
         self.rng = rng
-        # Jitter applied before rebroadcasting flooded control packets; zero
-        # under the ideal MAC where there is nothing to desynchronize.
-        self.flood_jitter_us = flood_jitter_us
+        # Jitter applied before rebroadcasting flooded control packets.
+        self.flood_jitter_us = 0 if radio.ideal else FLOOD_JITTER_US
         radio.register_link_break(node_id, self.handle_link_break)
 
     def start(self):
@@ -104,12 +107,11 @@ class RoutingProtocol:
     # -- helpers ------------------------------------------------------
 
     def _broadcast(self, size, kind, payload):
-        self.radio.broadcast(self.node_id,
-                             Frame(self.node_id, BROADCAST, size, kind, payload))
+        self.radio.broadcast(self.node_id, Frame(self.node_id, size, kind, payload))
 
     def _unicast(self, next_hop, size, kind, payload):
         self.radio.unicast(self.node_id, next_hop,
-                           Frame(self.node_id, next_hop, size, kind, payload))
+                           Frame(self.node_id, size, kind, payload))
 
     def deliver(self, data):
         app = data.app
@@ -162,8 +164,8 @@ class ReactiveProtocol(RoutingProtocol):
     kind of a route request, whose payload carries its ``Flood``.
     """
 
-    def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
-        super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
+    def __init__(self, node_id, sim, radio, trace, rng):
+        super().__init__(node_id, sim, radio, trace, rng)
         self.buffers = {}        # dest -> deque of DataPacket
         self.pending = {}        # dest -> [attempts_done, timer_handle]
 

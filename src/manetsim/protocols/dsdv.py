@@ -93,8 +93,8 @@ class DsdvRouter(RoutingProtocol):
 
     name = "dsdv"
 
-    def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
-        super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
+    def __init__(self, node_id, sim, radio, trace, rng):
+        super().__init__(node_id, sim, radio, trace, rng)
         self.own_seq = 0
         self._settling = {}       # dest -> (prev_next_hop, prev_hops, deadline_us)
         self._rows = np.empty((0, 4), dtype=np.int64)

@@ -43,15 +43,14 @@ def data_header_bytes(route):
 class RouteCache:
     """Bounded per-node store of known source routes, insertion-ordered."""
 
-    def __init__(self, capacity=CACHE_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         self.paths = []
 
     def insert(self, route):
         route = make_source_route(route)
         if len(route) < 2 or route in self.paths:
             return
-        if len(self.paths) >= self.capacity:
+        if len(self.paths) >= CACHE_CAPACITY:
             self.paths.pop(0)
         self.paths.append(route)
 
@@ -110,8 +109,8 @@ class DsrRouter(ReactiveProtocol):
     name = "dsr"
     rreq_kind = RREQ
 
-    def __init__(self, node_id, sim, radio, trace, rng, flood_jitter_us=0):
-        super().__init__(node_id, sim, radio, trace, rng, flood_jitter_us)
+    def __init__(self, node_id, sim, radio, trace, rng):
+        super().__init__(node_id, sim, radio, trace, rng)
         self.cache = RouteCache()
         self.request_id = 0
 

@@ -25,8 +25,6 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-BROADCAST = -1
-
 # Half-width of the band around range**2, relative to (range + extent)**2,
 # inside which a pair of nodes is re-evaluated at every query.  Evaluating
 # positions and squared distances in float64 is off by a few ulps of
@@ -34,34 +32,15 @@ BROADCAST = -1
 # verdict of its last exact evaluation.
 BAND = 1e-9
 
-DEFAULT_RANGE_M = 250.0        # nominal two-ray-ground range at default power
-DEFAULT_BANDWIDTH_BPS = 2_000_000
-DEFAULT_LATENCY_US = 1000
-DEFAULT_RETRY_LIMIT = 3        # MAC retries before a unicast is declared broken
-
-
-class LinkModel:
-    __slots__ = ("range_m", "bandwidth_bps", "per_hop_latency_us")
-
-    def __init__(self, range_m=DEFAULT_RANGE_M, bandwidth_bps=DEFAULT_BANDWIDTH_BPS,
-                 per_hop_latency_us=DEFAULT_LATENCY_US):
-        if range_m <= 0 or bandwidth_bps <= 0:
-            raise ValueError("range and bandwidth must be positive")
-        self.range_m = range_m
-        self.bandwidth_bps = bandwidth_bps
-        self.per_hop_latency_us = per_hop_latency_us
-
 
 class Frame:
-    __slots__ = ("src", "dst", "size", "kind", "payload", "tx_start")
+    __slots__ = ("src", "size", "kind", "payload")
 
-    def __init__(self, src, dst, size, kind, payload):
+    def __init__(self, src, size, kind, payload):
         self.src = src
-        self.dst = dst
         self.size = size
         self.kind = kind
         self.payload = payload
-        self.tx_start = -1
 
 
 class Transmission:
@@ -83,14 +62,18 @@ class Transmission:
 class Radio:
     """Shared medium connecting all nodes of one simulation run."""
 
-    def __init__(self, sim, mobility, node_count, link=None, ideal=False,
-                 retry_limit=DEFAULT_RETRY_LIMIT):
+    def __init__(self, sim, mobility, *, range_m, bandwidth_bps, latency_us,
+                 retry_limit, ideal):
+        if range_m <= 0 or bandwidth_bps <= 0:
+            raise ValueError("range and bandwidth must be positive")
         self.sim = sim
         self.mobility = mobility
-        self.node_count = node_count
-        self.link = link or LinkModel()
-        self.ideal = ideal
+        self.node_count = node_count = mobility.node_count
+        self.range_m = range_m
+        self.bandwidth_bps = bandwidth_bps
+        self.latency_us = latency_us
         self.retry_limit = retry_limit
+        self.ideal = ideal
         self.on_receive = None       # unicast delivery, fn(node_id, frame)
         self.on_broadcast = None     # broadcast delivery, fn(receiver_mask, frame)
         self.on_transmit = None      # accounting hook, fn(frame)
@@ -115,7 +98,7 @@ class Radio:
         airtime = self._airtimes.get(size)
         if airtime is None:
             airtime = self._airtimes[size] = int(
-                math.ceil(size * 8 * 1_000_000 / self.link.bandwidth_bps))
+                math.ceil(size * 8 * 1_000_000 / self.bandwidth_bps))
         return airtime
 
     def _reach(self, node, t_us):
@@ -131,7 +114,7 @@ class Radio:
         dx*dx + dy*dy <= range**2 over the positions at t_us."""
         mob = self.mobility
         xy = mob.positions_xy(t_us)
-        rr = self.link.range_m * self.link.range_m
+        rr = self.range_m * self.range_m
         masks = self._masks
         if mob.legs is not self._legs:
             self._new_legs(t_us, xy, rr)
@@ -172,7 +155,7 @@ class Radio:
         moved = np.flatnonzero(legs != self._legs)
         self._legs = legs
         stamps = self._stamps = legs.tolist()
-        band = self._band = BAND * (self.link.range_m + mob.extent) ** 2
+        band = self._band = BAND * (self.range_m + mob.extent) ** 2
         masks = self._masks
         d = xy[:, None, :] - xy[:, moved, None]   # row i: xy - xy[:, moved[i]]
         sq = d[0] * d[0] + d[1] * d[1]
@@ -224,12 +207,11 @@ class Radio:
     def _transmit(self, src, frame, counter):
         """Put frame on the air from src: its airtime takes the next slot
         on src's FIFO queue (at once under the ideal MAC), the frame is
-        stamped and accounted for, and stats[counter] counts it.  Returns
+        accounted for, and stats[counter] counts it.  Returns
         the airtime as (start, end)."""
         now = self.sim.now
         start = now if self.ideal else max(now, self._busy_until[src])
         end = self._busy_until[src] = start + self.airtime_us(frame.size)
-        frame.tx_start = start
         if self.on_transmit is not None:
             self.on_transmit(frame)
         self.stats[counter] += 1
@@ -270,7 +252,7 @@ class Radio:
         if not mask:
             return 0
         tx = None if self.ideal else self._note_signals(start, end, mask)
-        sim.at(end + self.link.per_hop_latency_us,
+        sim.at(end + self.latency_us,
                lambda: self._bcast_arrivals(src, mask, tx, frame))
         return mask.bit_count()
 
@@ -310,7 +292,7 @@ class Radio:
         if in_range_at_start and not self.ideal:
             # Heard, and interfering, at every node in range.
             tx = self._note_signals(start, end, mask)
-        arrive = end + self.link.per_hop_latency_us
+        arrive = end + self.latency_us
 
         def resolve():
             ok = in_range_at_start and self._reach(src, sim.now) >> dst & 1

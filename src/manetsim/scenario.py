@@ -10,12 +10,8 @@ from .metrics import PacketTrace, summarize, write_trace_csv
 from .mobility import (STATIC, FixedPositions, RandomWaypoint, init_positions,
                        write_movement_trace)
 from .protocols import connect, make_router
-from .radio import LinkModel, Radio
+from .radio import Radio
 from .traffic import TrafficGenerator, setup_flows
-
-# Rebroadcast jitter under the realistic MAC; floods need desynchronizing
-# once collisions exist.
-FLOOD_JITTER_US = 10_000
 
 # The shortest time, in seconds, in which a node may cross the area's
 # diagonal at max_speed: a thousand ticks of the microsecond clock, so that
@@ -41,7 +37,7 @@ class ScenarioConfig:
     area_width: float = 500.0
     area_height: float = 500.0
     max_speed: float = 10.0
-    min_speed: float = 0.1
+    min_speed: float = 0.1          # random waypoint's speed decays when it is 0
     pause_time: float = 20.0        # seconds, or math.inf for a static network
     sim_time: float = 100.0
     n_flows: int = 10
@@ -51,10 +47,10 @@ class ScenarioConfig:
     mac_mode: str = "realistic"
     warmup: float = 10.0            # seconds excluded from metrics
     drain: float = 2.0              # extra run time so in-flight packets land
-    radio_range: float = 250.0
+    radio_range: float = 250.0      # nominal two-ray-ground range at default power
     bandwidth: int = 2_000_000
     per_hop_latency: float = 0.001
-    retry_limit: int = 3
+    retry_limit: int = 3            # MAC retries before a unicast is declared broken
 
     def validate(self):
         errors = []
@@ -130,20 +126,21 @@ def build_mobility(config):
 def build_simulation(config, mobility=None):
     """Wire up one run; returns (sim, radio, routers, trace, flows, generator)."""
     config.check()
-    sim = Simulator()
-    trace = PacketTrace()
     if mobility is None:
         mobility = build_mobility(config)
-    ideal = config.mac_mode == "ideal"
-    link = LinkModel(config.radio_range, config.bandwidth,
-                     to_us(config.per_hop_latency))
-    radio = Radio(sim, mobility, config.node_count, link=link, ideal=ideal,
-                  retry_limit=config.retry_limit)
-    jitter = 0 if ideal else FLOOD_JITTER_US
+    elif mobility.node_count != config.node_count:
+        raise ConfigInvalid([f"the mobility model moves {mobility.node_count} "
+                             f"nodes, node_count is {config.node_count}"])
+    sim = Simulator()
+    trace = PacketTrace()
+    radio = Radio(sim, mobility, range_m=config.radio_range,
+                  bandwidth_bps=config.bandwidth,
+                  latency_us=to_us(config.per_hop_latency),
+                  retry_limit=config.retry_limit,
+                  ideal=config.mac_mode == "ideal")
     routers = [
         make_router(config.protocol, node, sim, radio, trace,
-                    RngStream(config.seed, f"protocol:{node}"),
-                    flood_jitter_us=jitter)
+                    RngStream(config.seed, f"protocol:{node}"))
         for node in range(config.node_count)
     ]
     connect(radio, routers)

@@ -2,8 +2,6 @@
 
 from .engine import US_PER_S, to_us
 
-DEFAULT_RATE_PPS = 4.0
-DEFAULT_PACKET_SIZE = 512
 START_STAGGER_S = 5.0   # flow starts spread uniformly to avoid synchronized bursts
 
 
@@ -37,9 +35,7 @@ class AppPacket:
         self.dst = dst
 
 
-def setup_flows(n_flows, nodes, rng, rate=DEFAULT_RATE_PPS,
-                packet_size=DEFAULT_PACKET_SIZE, stop_s=100.0,
-                stagger_s=START_STAGGER_S):
+def setup_flows(n_flows, nodes, rng, *, rate, packet_size, stop_s):
     """Draw n_flows disjoint src/dst pairs without replacement."""
     nodes = list(nodes)
     if n_flows < 1 or n_flows > len(nodes) // 2:
@@ -51,7 +47,7 @@ def setup_flows(n_flows, nodes, rng, rate=DEFAULT_RATE_PPS,
     stop_us = to_us(stop_s)
     flows = []
     for i in range(n_flows):
-        start_us = to_us(rng.uniform(0.0, stagger_s))
+        start_us = to_us(rng.uniform(0.0, START_STAGGER_S))
         flows.append(Flow(i, endpoints[2 * i], endpoints[2 * i + 1],
                           rate, packet_size, start_us, stop_us))
     return flows

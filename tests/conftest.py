@@ -2,31 +2,37 @@
 
 import pytest
 
-from manetsim.engine import RngStream, Simulator
+from manetsim.engine import RngStream, Simulator, to_us
 from manetsim.metrics import PacketTrace
 from manetsim.mobility import FixedPositions
 from manetsim.protocols import connect, make_router
-from manetsim.radio import LinkModel, Radio
+from manetsim.radio import Radio
+from manetsim.scenario import ScenarioConfig
 from manetsim.traffic import AppPacket
+
+DEFAULTS = ScenarioConfig()
+
+
+def radio_for(sim, mobility, ideal=False, range_m=DEFAULTS.radio_range,
+              retry_limit=DEFAULTS.retry_limit):
+    """A Radio with the scenario defaults, unless told otherwise."""
+    return Radio(sim, mobility, range_m=range_m, bandwidth_bps=DEFAULTS.bandwidth,
+                 latency_us=to_us(DEFAULTS.per_hop_latency),
+                 retry_limit=retry_limit, ideal=ideal)
 
 
 class Net:
     """A Simulator + Radio + one router per node over fixed positions."""
 
-    def __init__(self, positions, protocol="AODV", ideal=True, seed=1,
-                 range_m=250.0, flood_jitter_us=0, retry_limit=3):
+    def __init__(self, positions, protocol="AODV", ideal=True, seed=1):
         self.sim = Simulator()
         self.mobility = FixedPositions(positions)
-        n = self.mobility.node_count
         self.trace = PacketTrace()
-        self.radio = Radio(self.sim, self.mobility, n,
-                           link=LinkModel(range_m=range_m), ideal=ideal,
-                           retry_limit=retry_limit)
+        self.radio = radio_for(self.sim, self.mobility, ideal=ideal)
         self.routers = [
             make_router(protocol, i, self.sim, self.radio, self.trace,
-                        RngStream(seed, f"protocol:{i}"),
-                        flood_jitter_us=flood_jitter_us)
-            for i in range(n)
+                        RngStream(seed, f"protocol:{i}"))
+            for i in range(self.mobility.node_count)
         ]
         connect(self.radio, self.routers)
         for r in self.routers:

@@ -1,7 +1,9 @@
 """DSR: source routes, route cache, discovery, error propagation."""
 
+from itertools import permutations
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from manetsim.protocols.dsr import (CACHE_CAPACITY, MalformedRoute, RouteCache,
                                     data_header_bytes, make_source_route)
@@ -46,12 +48,11 @@ def test_cache_ignores_trivial_and_duplicate_paths():
 
 
 def test_cache_capacity_evicts_oldest():
-    c = RouteCache(capacity=3)
-    for i in range(1, 5):
-        c.insert((0, i, 100 + i))
-    assert len(c.paths) == 3
-    assert (0, 1, 101) not in c.paths
-    assert (0, 4, 104) in c.paths
+    c = RouteCache()
+    paths = [(0, i, 1000 + i) for i in range(1, CACHE_CAPACITY + 2)]
+    for path in paths:
+        c.insert(path)
+    assert c.paths == paths[1:]
 
 
 def test_purge_link_removes_both_orientations():
@@ -69,14 +70,15 @@ def test_missing_route_returns_none():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=6,
-                         unique=True), max_size=30))
+                         unique=True), max_size=2 * CACHE_CAPACITY))
+@example([list(p) for p in permutations(range(10), 2)][:CACHE_CAPACITY + 1])
 def test_cache_paths_always_duplicate_free(paths):
-    c = RouteCache(capacity=8)
+    c = RouteCache()
     for p in paths:
         c.insert(p)
     for path in c.paths:
         assert len(set(path)) == len(path)
-    assert len(c.paths) <= 8
+    assert len(c.paths) <= CACHE_CAPACITY
 
 
 # -- discovery and forwarding ------------------------------------------
@@ -161,7 +163,7 @@ def test_link_break_purges_caches_along_return_path(chain4):
 def test_broken_path_is_purged_and_survivor_takes_over():
     # Two disjoint 2-hop routes from 0 to 3; break the preferred one.
     positions = [(0, 0), (200, 0), (200, 140), (400, 0)]
-    net = Net(positions, protocol="DSR", ideal=False, flood_jitter_us=10_000)
+    net = Net(positions, protocol="DSR", ideal=False)
     net.send(0, 3)
     net.run(5)
     r0 = net.routers[0]

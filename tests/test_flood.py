@@ -1,9 +1,10 @@
 """Route-request floods of AODV and DSR: duplicate copies are dropped by the
-flood's seen mask before any router handles them."""
+flood's seen mask before any router handles them.  Rebroadcasts are
+jittered only under the realistic MAC."""
 
 import pytest
 
-from manetsim.protocols.base import Flood
+from manetsim.protocols.base import FLOOD_JITTER_US, Flood
 from manetsim.protocols.dsr import RERR, RREQ, _Rreq
 from manetsim.radio import Frame
 
@@ -33,6 +34,17 @@ def watch(net):
                                               handle_rreq(rreq, *args))
     net.radio.on_transmit = lambda fr: fr.kind == rreq_kind and sent.append(fr.src)
     return arrivals, handled, sent
+
+
+@pytest.mark.parametrize("protocol", ["DSDV", "AODV", "DSR"])
+def test_flood_jitter_follows_the_mac(protocol):
+    # Collisions exist only under the realistic MAC, so only there do
+    # rebroadcasts need desynchronizing.
+    ideal = Net(DIAMOND, protocol=protocol, ideal=True)
+    realistic = Net(DIAMOND, protocol=protocol, ideal=False)
+    assert [r.flood_jitter_us for r in ideal.routers] == [0] * len(DIAMOND)
+    assert [r.flood_jitter_us for r in realistic.routers] == \
+        [FLOOD_JITTER_US] * len(DIAMOND)
 
 
 @pytest.mark.parametrize("protocol", ["AODV", "DSR"])
@@ -73,11 +85,11 @@ def test_deliver_broadcast_skips_seen_nodes_of_a_request_only():
         router.handle_frame = lambda frame, node=router.node_id: got.append(node)
     flood = Flood(0)
     flood.first_visit(2)
-    rreq = Frame(0, -1, 16, RREQ, _Rreq(0, 1, 4, (0,), flood))
+    rreq = Frame(0, 16, RREQ, _Rreq(0, 1, 4, (0,), flood))
     net.routers[0].deliver_broadcast(net.routers, 0b11111, rreq)
     assert got == [1, 3, 4]
     got.clear()
-    rerr = Frame(0, -1, 16, RERR, rreq.payload)
+    rerr = Frame(0, 16, RERR, rreq.payload)
     net.routers[0].deliver_broadcast(net.routers, 0b11111, rerr)
     assert got == [0, 1, 2, 3, 4]
 

@@ -9,7 +9,7 @@ import manetsim.sweep as sweep
 from manetsim.cli import load_config_file, main
 from manetsim.engine import SchedulingInPast
 from manetsim.metrics import read_trace_csv
-from manetsim.mobility import STATIC
+from manetsim.mobility import STATIC, FixedPositions
 from manetsim.scenario import ConfigInvalid, ScenarioConfig, run_scenario
 from manetsim.sweep import (SweepSpec, cell_mean, emit_plot_data,
                             read_raw_csv, run_sweep)
@@ -120,6 +120,15 @@ def test_run_scenario_is_deterministic():
     a, _ = run_scenario(ScenarioConfig(**FAST))
     b, _ = run_scenario(ScenarioConfig(**FAST))
     assert a == b
+
+
+@pytest.mark.parametrize("nodes", [6, 14])
+def test_run_scenario_rejects_a_mobility_of_another_size(nodes):
+    mobility = FixedPositions([(50.0 * i, 0.0) for i in range(nodes)])
+    with pytest.raises(ConfigInvalid) as err:
+        run_scenario(ScenarioConfig(**{**FAST, "node_count": 10}), mobility=mobility)
+    assert f"moves {nodes} nodes" in str(err.value)
+    assert "node_count is 10" in str(err.value)
 
 
 def test_different_seeds_differ():

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 import manetsim.mobility as mobility
 from manetsim.engine import Simulator
 from manetsim.mobility import FixedPositions, RandomWaypoint
-from manetsim.radio import BROADCAST, Frame, LinkModel, Radio
+from manetsim.radio import Frame, Radio
+
+from conftest import radio_for
 
 US = 1_000_000
 
@@ -20,11 +22,10 @@ def nodes(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def make_radio(positions, ideal=False, range_m=250.0, retry_limit=3):
+def make_radio(positions, ideal=False, retry_limit=3):
     sim = Simulator()
-    mob = FixedPositions(positions)
-    radio = Radio(sim, mob, mob.node_count, link=LinkModel(range_m=range_m),
-                  ideal=ideal, retry_limit=retry_limit)
+    radio = radio_for(sim, FixedPositions(positions), ideal=ideal,
+                      retry_limit=retry_limit)
     inbox = []
     radio.on_receive = lambda node, frame: inbox.append((sim.now, node, frame))
     radio.on_broadcast = lambda mask, frame: inbox.extend(
@@ -32,8 +33,8 @@ def make_radio(positions, ideal=False, range_m=250.0, retry_limit=3):
     return sim, radio, inbox
 
 
-def frame(src, dst=BROADCAST, size=512, kind="data", payload=None):
-    return Frame(src, dst, size, kind, payload)
+def frame(src, size=512, kind="data", payload=None):
+    return Frame(src, size, kind, payload)
 
 
 def test_airtime_is_ceiled_bits_over_bandwidth():
@@ -119,14 +120,14 @@ def scripted_waypoint(start, legs, pause_time):
     with mock.patch.object(mobility, "RngStream",
                            lambda seed, name: Script(streams[name])):
         return RandomWaypoint(len(start), 2000.0, 2000.0, 10.0, seed=0,
-                              pause_time=pause_time)
+                              min_speed=0.1, pause_time=pause_time)
 
 
 def waypoint_radio(make_mobility, range_m):
     """(radio, oracle): a radio over one model and a twin model for brute
     force, so that the oracle's queries never advance the radio's model."""
     mob = make_mobility()
-    radio = Radio(Simulator(), mob, mob.node_count, link=LinkModel(range_m=range_m))
+    radio = radio_for(Simulator(), mob, range_m=range_m)
     return radio, make_mobility()
 
 
@@ -150,7 +151,8 @@ def query_times(steps, start=0):
 def test_reach_masks_match_brute_force_random_waypoint(seed, n, side, range_m,
                                                        max_speed, pause, rnd):
     radio, oracle = waypoint_radio(
-        lambda: RandomWaypoint(n, side, side, max_speed, seed, pause_time=pause),
+        lambda: RandomWaypoint(n, side, side, max_speed, seed, min_speed=0.1,
+                               pause_time=pause),
         range_m)
     # Steps from a plain random stream: a millisecond or up to 3 s apart.
     steps = [(rnd.choice((rnd.randint(0, 2_000), rnd.randint(0, 3 * US))),
@@ -162,7 +164,8 @@ def test_reach_masks_match_brute_force_dense_queries():
     """A query every millisecond while links come and go: each link change
     is seen within a millisecond of when it happens."""
     radio, oracle = waypoint_radio(
-        lambda: RandomWaypoint(10, 200.0, 200.0, 20.0, seed=5, pause_time=0.0), 100.0)
+        lambda: RandomWaypoint(10, 200.0, 200.0, 20.0, seed=5, min_speed=0.1,
+                               pause_time=0.0), 100.0)
     for t in range(0, 20 * US, 1000):
         node = t // 1000 % 10
         assert radio._reach(node, t) == brute_force_reach(oracle, 100.0, node, t), t
@@ -226,7 +229,7 @@ def test_reach_masks_match_brute_force_fixed_positions_and_moves(positions, move
     them to exactly the range from node 0, some at the same instant."""
     fixed = FixedPositions(positions)
     oracle = FixedPositions(positions)
-    radio = Radio(Simulator(), fixed, fixed.node_count)
+    radio = radio_for(Simulator(), fixed)
     n = fixed.node_count
     t = 0
     assert_masks_match(radio, oracle, 250.0, [(t, 0)])
@@ -320,7 +323,7 @@ def test_collision_flags_match_pairwise_overlap(sends):
 
 def test_unicast_delivers_and_counts():
     sim, radio, inbox = make_radio([(0, 0), (100, 0)])
-    radio.unicast(0, 1, frame(0, dst=1))
+    radio.unicast(0, 1, frame(0))
     sim.run_until(US)
     assert [(t, n) for t, n, _ in inbox] == [(3048, 1)]
     assert radio.stats["tx_unicast"] == 1
@@ -331,7 +334,7 @@ def test_unicast_out_of_range_retries_then_reports_link_break():
     sim, radio, inbox = make_radio([(0, 0), (600, 0)], retry_limit=3)
     broken = []
     radio.register_link_break(0, lambda dst, fr: broken.append(dst))
-    radio.unicast(0, 1, frame(0, dst=1))
+    radio.unicast(0, 1, frame(0))
     sim.run_until(US)
     assert inbox == []
     assert radio.stats["tx_unicast"] == 4  # initial + 3 retries
@@ -343,7 +346,7 @@ def test_unicast_ideal_mode_does_not_retry():
     sim, radio, inbox = make_radio([(0, 0), (600, 0)], ideal=True)
     broken = []
     radio.register_link_break(0, lambda dst, fr: broken.append(dst))
-    radio.unicast(0, 1, frame(0, dst=1))
+    radio.unicast(0, 1, frame(0))
     sim.run_until(US)
     assert radio.stats["tx_unicast"] == 1
     assert broken == [1]
@@ -353,8 +356,8 @@ def test_unicast_interferes_with_other_receivers():
     # 0 unicasts to 1 while 2, also in range of 0, receives from 3.
     positions = [(0, 0), (100, 0), (200, 0), (400, 0)]
     sim, radio, inbox = make_radio(positions, retry_limit=0)
-    sim.at(0, lambda: radio.unicast(0, 1, frame(0, dst=1)))
-    sim.at(0, lambda: radio.unicast(3, 2, frame(3, dst=2)))
+    sim.at(0, lambda: radio.unicast(0, 1, frame(0)))
+    sim.at(0, lambda: radio.unicast(3, 2, frame(3)))
     sim.run_until(US)
     got = sorted(node for _, node, _ in inbox)
     assert got == [1]  # 2 lost its copy to 0's concurrent transmission
@@ -366,7 +369,7 @@ def test_on_transmit_hook_sees_every_frame():
     seen = []
     radio.on_transmit = lambda fr: seen.append((fr.kind, fr.size))
     radio.broadcast(0, frame(0, size=24, kind="aodv-rreq"))
-    radio.unicast(0, 1, frame(0, dst=1, size=512))
+    radio.unicast(0, 1, frame(0, size=512))
     sim.run_until(US)
     assert seen[0] == ("aodv-rreq", 24)
     assert ("data", 512) in seen
@@ -374,7 +377,9 @@ def test_on_transmit_hook_sees_every_frame():
 
 def test_link_model_rejects_bad_parameters():
     import pytest
+    mob = FixedPositions([(0, 0), (1, 1)])
+    link = dict(latency_us=1000, retry_limit=3, ideal=False)
     with pytest.raises(ValueError):
-        LinkModel(range_m=0)
+        Radio(Simulator(), mob, range_m=0, bandwidth_bps=2_000_000, **link)
     with pytest.raises(ValueError):
-        LinkModel(bandwidth_bps=-1)
+        Radio(Simulator(), mob, range_m=250.0, bandwidth_bps=-1, **link)

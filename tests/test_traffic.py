@@ -4,15 +4,20 @@ import pytest
 
 from manetsim.engine import RngStream, Simulator
 from manetsim.metrics import PacketTrace
-from manetsim.traffic import (AppPacket, Flow, TooManyFlows, TrafficGenerator,
-                              setup_flows)
+from manetsim.scenario import ScenarioConfig
+from manetsim.traffic import (START_STAGGER_S, AppPacket, Flow, TooManyFlows,
+                              TrafficGenerator, setup_flows)
 
 US = 1_000_000
+
+DEFAULTS = ScenarioConfig()
+CBR = dict(rate=DEFAULTS.rate, packet_size=DEFAULTS.packet_size,
+           stop_s=DEFAULTS.sim_time)
 
 
 def test_setup_flows_endpoints_are_disjoint():
     rng = RngStream(1, "traffic")
-    flows = setup_flows(10, range(50), rng)
+    flows = setup_flows(10, range(50), rng, **CBR)
     endpoints = [f.src for f in flows] + [f.dst for f in flows]
     assert len(endpoints) == len(set(endpoints)) == 20
     for f in flows:
@@ -20,8 +25,8 @@ def test_setup_flows_endpoints_are_disjoint():
 
 
 def test_setup_flows_deterministic_per_seed():
-    a = setup_flows(5, range(20), RngStream(3, "traffic"))
-    b = setup_flows(5, range(20), RngStream(3, "traffic"))
+    a = setup_flows(5, range(20), RngStream(3, "traffic"), **CBR)
+    b = setup_flows(5, range(20), RngStream(3, "traffic"), **CBR)
     assert [(f.src, f.dst, f.start_us) for f in a] == \
            [(f.src, f.dst, f.start_us) for f in b]
 
@@ -29,15 +34,15 @@ def test_setup_flows_deterministic_per_seed():
 def test_setup_flows_rejects_too_many():
     rng = RngStream(1, "traffic")
     with pytest.raises(TooManyFlows):
-        setup_flows(11, range(20), rng)
+        setup_flows(11, range(20), rng, **CBR)
     with pytest.raises(TooManyFlows):
-        setup_flows(0, range(20), rng)
+        setup_flows(0, range(20), rng, **CBR)
 
 
 def test_flow_starts_are_staggered_within_window():
-    flows = setup_flows(10, range(40), RngStream(5, "traffic"), stagger_s=5.0)
+    flows = setup_flows(10, range(40), RngStream(5, "traffic"), **CBR)
     for f in flows:
-        assert 0 <= f.start_us <= 5 * US
+        assert 0 <= f.start_us <= START_STAGGER_S * US
     assert len({f.start_us for f in flows}) > 1
 
 
@@ -79,7 +84,8 @@ def test_packets_carry_flow_metadata_and_sequence():
 
 
 def test_every_generated_packet_is_traced():
-    flows = setup_flows(4, range(10), RngStream(2, "traffic"), stop_s=5.0)
+    flows = setup_flows(4, range(10), RngStream(2, "traffic"), rate=DEFAULTS.rate,
+                        packet_size=DEFAULTS.packet_size, stop_s=5.0)
     trace, sent = run_generator(flows)
     assert trace.packets_sent == len(sent)
     assert trace.packets_received == 0
