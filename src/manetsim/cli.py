@@ -9,6 +9,7 @@ file values.
 """
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -108,12 +109,16 @@ def main(argv=None):
                        help="write the per-packet trace CSV")
     p_run.add_argument("--move-trace", action="store_true",
                        help="write a movement trace CSV")
-    p_run.add_argument("--move-trace-interval", type=float, default=1.0)
+    p_run.add_argument("--move-trace-interval", type=float,
+                       default=inspect.signature(run_scenario)
+                       .parameters["move_trace_interval"].default,
+                       help="movement trace sampling step, seconds (> 0)")
 
     p_sweep = sub.add_parser("sweep", help="run a full experiment grid")
     _add_common(p_sweep)
     _add_grid(p_sweep)
-    p_sweep.add_argument("--seeds-per-cell", type=int, default=5)
+    p_sweep.add_argument("--seeds-per-cell", type=int,
+                         default=SweepSpec.seeds_per_cell)
     p_sweep.add_argument("--trace-cells", action="store_true",
                          help="write a per-packet trace CSV for every cell")
     p_sweep.add_argument("--quiet", action="store_true")

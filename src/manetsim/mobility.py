@@ -154,31 +154,25 @@ class FixedPositions:
     next_transition = math.inf
 
     def __init__(self, positions):
-        self._pos = [tuple(p) for p in positions]
-        self.node_count = len(self._pos)
+        self._xy = np.array(positions, dtype=float).T.copy()
+        self.node_count = self._xy.shape[1]
         self.legs = np.zeros(self.node_count, dtype=np.int64)
         self.velocity = np.zeros((2, self.node_count))
         self.leg_end = np.full(self.node_count, math.inf)
-        self._arrays()
-
-    def _arrays(self):
-        # Rebuilt, not updated in place: int positions would give an int
-        # array that truncates a later float move().
-        self._xy = np.array([[p[0] for p in self._pos], [p[1] for p in self._pos]])
         self.extent = float(np.abs(self._xy).max())
 
     def move(self, node, xy):
         """Put node at xy; to a holder of ``legs`` this is a leg change."""
-        self._pos[node] = tuple(xy)
-        self._arrays()
+        self._xy[:, node] = xy
+        self.extent = float(np.abs(self._xy).max())
         self.legs = self.legs.copy()
         self.legs[node] += 1
 
     def position(self, node, t_us):
-        return self._pos[node]
+        return tuple(self._xy[:, node].tolist())
 
     def positions(self, t_us):
-        return self._pos
+        return list(zip(*self._xy.tolist()))
 
     def positions_xy(self, t_us):
         return self._xy

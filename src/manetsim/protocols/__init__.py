@@ -1,4 +1,4 @@
-from .base import DataPacket, RoutingProtocol, connect
+from .base import RoutingProtocol, connect
 from .dsdv import DsdvRouter
 from .aodv import AodvRouter
 from .dsr import DsrRouter
@@ -18,5 +18,5 @@ def make_router(name, node_id, sim, radio, trace, rng):
     return cls(node_id, sim, radio, trace, rng)
 
 
-__all__ = ["DataPacket", "RoutingProtocol", "DsdvRouter", "AodvRouter",
-           "DsrRouter", "PROTOCOLS", "connect", "make_router"]
+__all__ = ["RoutingProtocol", "DsdvRouter", "AodvRouter", "DsrRouter",
+           "PROTOCOLS", "connect", "make_router"]

@@ -117,9 +117,9 @@ class AodvRouter(ReactiveProtocol):
         entry.expires_at = self.sim.now + ACTIVE_ROUTE_TIMEOUT_US
         return entry.next_hop
 
-    def _send(self, data, next_hop):
-        """Send data from its source to next_hop; it goes on hop by hop."""
-        self._unicast(next_hop, data.app.size, DATA, data)
+    def _send(self, pkt, next_hop):
+        """Send pkt from its source to next_hop; it goes on hop by hop."""
+        self._unicast(next_hop, pkt.size, DATA, pkt)
 
     # -- discovery ----------------------------------------------------
 

@@ -22,22 +22,6 @@ FLOOD_JITTER_US = 10_000
 DATA = "data"
 
 
-class DataPacket:
-    """Application packet in flight, with per-hop traversal count.
-
-    DSR additionally carries the full source route and the sender's index
-    into it; the other protocols leave those fields unset.
-    """
-
-    __slots__ = ("app", "hops", "route", "idx")
-
-    def __init__(self, app):
-        self.app = app
-        self.hops = 0
-        self.route = None
-        self.idx = 0
-
-
 class Flood:
     """The nodes that have handled one route request, as a bit mask that
     every copy of the request carries: duplicate detection (RFC 3561 6.5,
@@ -113,9 +97,8 @@ class RoutingProtocol:
         self.radio.unicast(self.node_id, next_hop,
                            Frame(self.node_id, size, kind, payload))
 
-    def deliver(self, data):
-        app = data.app
-        self.trace.record_received(app.flow_id, app.seq, self.sim.now, data.hops)
+    def deliver(self, pkt):
+        self.trace.record_received(pkt.flow_id, pkt.seq, self.sim.now, pkt.hops)
 
     def drop(self, reason):
         self.trace.record_drop(f"{self.name}:{reason}")
@@ -133,22 +116,22 @@ class RoutingProtocol:
 
     # -- hop-by-hop forwarding (DSDV, AODV) ---------------------------
 
-    def _forward(self, data):
-        """Unicast data to the next hop that ``route_lookup`` names."""
-        next_hop = self.route_lookup(data.app.dst)
+    def _forward(self, pkt):
+        """Unicast pkt to the next hop that ``route_lookup`` names."""
+        next_hop = self.route_lookup(pkt.dst)
         if next_hop is None:
             self.drop("no_route")
             return
-        self._unicast(next_hop, data.app.size, DATA, data)
+        self._unicast(next_hop, pkt.size, DATA, pkt)
 
-    def _receive_data(self, data):
-        data.hops += 1
-        if data.app.dst == self.node_id:
-            self.deliver(data)
-        elif data.hops >= MAX_HOPS:
+    def _receive_data(self, pkt):
+        pkt.hops += 1
+        if pkt.dst == self.node_id:
+            self.deliver(pkt)
+        elif pkt.hops >= MAX_HOPS:
             self.drop("hop_limit")
         else:
-            self._forward(data)
+            self._forward(pkt)
 
 
 class ReactiveProtocol(RoutingProtocol):
@@ -159,14 +142,14 @@ class ReactiveProtocol(RoutingProtocol):
     repeated every DISCOVERY_TIMEOUT_US, up to RREQ_RETRIES times, and then
     the buffered packets are dropped.  When a route becomes known,
     ``_release`` sends what waits and ends the discovery.  Subclasses supply
-    ``route_lookup(dest)``, the route to dest or None, ``_send(data, route)``
+    ``route_lookup(dest)``, the route to dest or None, ``_send(pkt, route)``
     over that route, ``originate_rreq(dest)`` and ``rreq_kind``, the frame
     kind of a route request, whose payload carries its ``Flood``.
     """
 
     def __init__(self, node_id, sim, radio, trace, rng):
         super().__init__(node_id, sim, radio, trace, rng)
-        self.buffers = {}        # dest -> deque of DataPacket
+        self.buffers = {}        # dest -> deque of AppPacket
         self.pending = {}        # dest -> [attempts_done, timer_handle]
 
     @classmethod
@@ -179,27 +162,26 @@ class ReactiveProtocol(RoutingProtocol):
     def route_lookup(self, dest):
         raise NotImplementedError
 
-    def _send(self, data, route):
+    def _send(self, pkt, route):
         raise NotImplementedError
 
     def originate_rreq(self, dest):
         raise NotImplementedError
 
     def send_app_packet(self, pkt):
-        data = DataPacket(pkt)
         route = self.route_lookup(pkt.dst)
         if route is not None:
-            self._send(data, route)
+            self._send(pkt, route)
         else:
-            self._buffer(pkt.dst, data)
+            self._buffer(pkt.dst, pkt)
             self._start_discovery(pkt.dst)
 
-    def _buffer(self, dest, data):
+    def _buffer(self, dest, pkt):
         buf = self.buffers.setdefault(dest, deque())
         if len(buf) >= BUFFER_CAPACITY:
             buf.popleft()
             self.drop("buffer_overflow")
-        buf.append(data)
+        buf.append(pkt)
 
     def _start_discovery(self, dest):
         if dest in self.pending:
@@ -245,6 +227,6 @@ class ReactiveProtocol(RoutingProtocol):
             return False
         del self.buffers[dest]
         self._stop_discovery(dest)
-        for data in buffered:
-            self._send(data, route)
+        for pkt in buffered:
+            self._send(pkt, route)
         return True

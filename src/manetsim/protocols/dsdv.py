@@ -13,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .base import DATA, DataPacket, RoutingProtocol, receivers
+from .base import DATA, RoutingProtocol, receivers
 
 ADVERTISE_INTERVAL_US = 15_000_000
 ADVERTISE_JITTER = 0.2              # +-20% around the nominal interval
@@ -267,7 +267,7 @@ class DsdvRouter(RoutingProtocol):
         return None
 
     def send_app_packet(self, pkt):
-        self._forward(DataPacket(pkt))
+        self._forward(pkt)
 
     def handle_frame(self, frame):       # data; updates come to deliver_broadcast
         self._receive_data(frame.payload)

@@ -85,22 +85,11 @@ class _Rreq:
         self.flood = flood
 
 
-class _Rrep:
-    __slots__ = ("path",)
-
-    def __init__(self, path):
-        self.path = path      # full source route, origin .. destination
-
-
 class _Rerr:
-    __slots__ = ("reporter", "broken_link", "original_source", "dest",
-                 "return_path")
+    __slots__ = ("broken_link", "dest", "return_path")
 
-    def __init__(self, reporter, broken_link, original_source, dest,
-                 return_path):
-        self.reporter = reporter
+    def __init__(self, broken_link, dest, return_path):
         self.broken_link = broken_link
-        self.original_source = original_source
         self.dest = dest
         self.return_path = return_path  # reporter back to source, inclusive
 
@@ -120,17 +109,17 @@ class DsrRouter(ReactiveProtocol):
         """The cached source route to dest, or None."""
         return self.cache.find(self.node_id, dest)
 
-    def _send(self, data, route):
-        """Send data from its source along route."""
-        data.route = route
-        data.idx = 1
-        self._unicast_data(data)
+    def _send(self, pkt, route):
+        """Send pkt from its source along route."""
+        pkt.route = route
+        pkt.idx = 1
+        self._unicast_data(pkt)
 
-    def _unicast_data(self, data):
-        """Send data to the hop its route names at data.idx."""
-        route = data.route
-        self._unicast(route[data.idx], data.app.size + data_header_bytes(route),
-                      DATA, data)
+    def _unicast_data(self, pkt):
+        """Send pkt to the hop its route names at pkt.idx."""
+        route = pkt.route
+        self._unicast(route[pkt.idx], pkt.size + data_header_bytes(route),
+                      DATA, pkt)
 
     # -- discovery ----------------------------------------------------
 
@@ -162,16 +151,16 @@ class DsrRouter(ReactiveProtocol):
         self._jittered(lambda: self._broadcast_rreq(fwd))
 
     def _send_rrep(self, path, my_index):
-        """Send (or forward) a route reply backward along the record."""
+        """Send (or forward) a route reply, the full source route origin ..
+        destination, backward along the record."""
         if my_index == 0:
             self._accept_rrep(path)
             return
         self._unicast(path[my_index - 1],
                       RREP_BASE_BYTES + RREP_PER_HOP_BYTES * len(path),
-                      RREP, _Rrep(path))
+                      RREP, path)
 
-    def handle_rrep(self, rrep):
-        path = rrep.path
+    def handle_rrep(self, path):
         my_index = path.index(self.node_id)
         self._cache_suffixes(path, my_index)
         self._send_rrep(path, my_index)
@@ -187,44 +176,42 @@ class DsrRouter(ReactiveProtocol):
 
     # -- source-routed forwarding -------------------------------------
 
-    def forward_source_routed(self, data):
-        route = data.route
-        if data.idx >= len(route) or route[data.idx] != self.node_id:
+    def forward_source_routed(self, pkt):
+        route = pkt.route
+        if pkt.idx >= len(route) or route[pkt.idx] != self.node_id:
             self.drop("malformed_route")
             return
         if self.node_id == route[-1]:
-            self.deliver(data)
+            self.deliver(pkt)
             return
-        data.idx += 1
-        self._unicast_data(data)
+        pkt.idx += 1
+        self._unicast_data(pkt)
 
     # -- maintenance --------------------------------------------------
 
     def handle_link_break(self, dead_neighbor, frame):
         if frame.kind == DATA:
-            data = frame.payload
             self.drop("link_break")
-            self._report_broken_link(dead_neighbor, data)
+            self._report_broken_link(dead_neighbor, frame.payload)
         elif frame.kind == RREP:
             self.drop("rrep_return_broken")
         # RERR return failures are dropped silently.
 
-    def _report_broken_link(self, dead_neighbor, data):
+    def _report_broken_link(self, dead_neighbor, pkt):
         broken = (self.node_id, dead_neighbor)
         self.cache.purge_link(*broken)
-        route = data.route
-        source = route[0]
-        my_index = data.idx - 1  # idx was advanced to the dead hop
-        if self.node_id == source:
+        route = pkt.route
+        my_index = pkt.idx - 1  # idx was advanced to the dead hop
+        if self.node_id == route[0]:
             self._source_reroute(route[-1])
             return
         return_path = tuple(reversed(route[:my_index + 1]))
-        err = _Rerr(self.node_id, broken, source, route[-1], return_path)
+        err = _Rerr(broken, route[-1], return_path)
         self._unicast(return_path[1], RERR_BYTES, RERR, err)
 
     def handle_route_error(self, err):
         self.cache.purge_link(*err.broken_link)
-        if self.node_id == err.original_source:
+        if self.node_id == err.return_path[-1]:
             self._source_reroute(err.dest)
             return
         rp = err.return_path
@@ -241,9 +228,9 @@ class DsrRouter(ReactiveProtocol):
     def handle_frame(self, frame):
         kind = frame.kind
         if kind == DATA:
-            data = frame.payload
-            data.hops += 1
-            self.forward_source_routed(data)
+            pkt = frame.payload
+            pkt.hops += 1
+            self.forward_source_routed(pkt)
         elif kind == RREQ:
             self.handle_rreq(frame.payload)
         elif kind == RREP:

@@ -171,8 +171,14 @@ def run_scenario(config, trace_path=None, move_trace_path=None,
     A *mobility* model passed in replaces the one the config describes.  It
     must answer position queries at any time, because the movement trace
     samples it again from t=0 once the run is over; without one, the trace
-    samples a fresh model built from the config.
+    samples a fresh model built from the config.  The movement trace takes
+    a sample every *move_trace_interval* seconds, which must round to at
+    least one microsecond.
     """
+    if move_trace_path and not (math.isfinite(move_trace_interval)
+                                and to_us(move_trace_interval) > 0):
+        raise ConfigInvalid([f"move_trace_interval must round to at least "
+                             f"1 us, got {move_trace_interval} s"])
     trace = _simulate(config, mobility)
     # A finished simulation is a web of reference cycles (routers, radio and
     # engine point at each other, and pending events at all three), so only

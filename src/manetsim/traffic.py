@@ -1,5 +1,7 @@
 """Constant-bit-rate application traffic over seeded source-sink pairs."""
 
+from itertools import count
+
 from .engine import US_PER_S, to_us
 
 START_STAGGER_S = 5.0   # flow starts spread uniformly to avoid synchronized bursts
@@ -24,15 +26,20 @@ class Flow:
 
 
 class AppPacket:
-    __slots__ = ("flow_id", "seq", "generated_at", "size", "src", "dst")
+    """One application packet, as the routers forward it: ``hops`` counts
+    the links it has crossed; DSR also sets ``route``, its source route, and
+    ``idx``, the position in it of the node it is sent to."""
 
-    def __init__(self, flow_id, seq, generated_at, size, src, dst):
+    __slots__ = ("flow_id", "seq", "size", "dst", "hops", "route", "idx")
+
+    def __init__(self, flow_id, seq, size, dst):
         self.flow_id = flow_id
         self.seq = seq
-        self.generated_at = generated_at
         self.size = size
-        self.src = src
         self.dst = dst
+        self.hops = 0
+        self.route = None
+        self.idx = 0
 
 
 def setup_flows(n_flows, nodes, rng, *, rate, packet_size, stop_s):
@@ -61,7 +68,6 @@ class TrafficGenerator:
         self.flows = flows
         self.trace = trace
         self.send_fn = send_fn   # fn(src_node, AppPacket)
-        self._seq = {f.flow_id: 0 for f in flows}
 
     def start(self):
         for flow in self.flows:
@@ -69,17 +75,16 @@ class TrafficGenerator:
 
     def _make_tick(self, flow):
         period_us = int(round(US_PER_S / flow.rate))
+        seqs = count()
 
         def tick():
             now = self.sim.now
             if now >= flow.stop_us:
                 return
-            seq = self._seq[flow.flow_id]
-            self._seq[flow.flow_id] = seq + 1
-            pkt = AppPacket(flow.flow_id, seq, now, flow.packet_size,
-                            flow.src, flow.dst)
+            seq = next(seqs)
             self.trace.record_generated(flow.flow_id, seq, now, flow.packet_size)
-            self.send_fn(flow.src, pkt)
+            self.send_fn(flow.src, AppPacket(flow.flow_id, seq, flow.packet_size,
+                                             flow.dst))
             if now + period_us < flow.stop_us:
                 self.sim.at(now + period_us, tick)
 

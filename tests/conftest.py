@@ -42,9 +42,8 @@ class Net:
         """Generate one app packet at the current sim time and hand it to src."""
         if seq is None:
             seq = self._next_seq = getattr(self, "_next_seq", -1) + 1
-        pkt = AppPacket(flow_id, seq, self.sim.now, size, src, dst)
         self.trace.record_generated(flow_id, seq, self.sim.now, size)
-        self.routers[src].send_app_packet(pkt)
+        self.routers[src].send_app_packet(AppPacket(flow_id, seq, size, dst))
         return (flow_id, seq)
 
     def run(self, until_s):

@@ -133,13 +133,12 @@ def test_unreachable_destination_gives_up():
 
 
 def test_malformed_route_is_dropped(chain3):
-    from manetsim.protocols.base import DataPacket
     from manetsim.traffic import AppPacket
     net = chain3(protocol="DSR")
-    data = DataPacket(AppPacket(0, 0, 0, 512, 0, 2))
-    data.route = (0, 1, 2)
-    data.idx = 2            # claims node 2 should forward, but node 1 got it
-    net.routers[1].forward_source_routed(data)
+    pkt = AppPacket(0, 0, 512, 2)
+    pkt.route = (0, 1, 2)
+    pkt.idx = 2             # claims node 2 should forward, but node 1 got it
+    net.routers[1].forward_source_routed(pkt)
     assert net.trace.drops["dsr:malformed_route"] == 1
 
 

@@ -1,10 +1,14 @@
 """Scenario config, sweep outputs and the command-line interface."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import manetsim
 import manetsim.sweep as sweep
 from manetsim.cli import load_config_file, main
 from manetsim.engine import SchedulingInPast
@@ -272,6 +276,24 @@ def test_cli_sweep_failed_cell_exit_code(tmp_path, capsys):
                  "--config", _fast_cfg(tmp_path), "--quiet",
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("interval", ["0", "-1", "4e-7"])
+def test_cli_run_rejects_a_move_trace_interval_under_a_tick(tmp_path, interval):
+    """A step that rounds to no time would sample the movement trace
+    forever; the run is refused before it starts.  A subprocess with a
+    timeout, so that a regression fails instead of hanging."""
+    src = os.path.dirname(os.path.dirname(manetsim.__file__))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "manetsim.cli", "run", "--nodes", "12",
+         "--config", _fast_cfg(tmp_path), "--mac", "ideal", "--pause", "static",
+         "--move-trace", "--move-trace-interval", interval, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=20)
+    assert done.returncode == 1
+    assert "config error: move_trace_interval" in done.stderr
+    assert not (out / "movement.csv").exists()
 
 
 def _fast_cfg(tmp_path):

@@ -225,8 +225,8 @@ positions_int = st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300
                       max_size=15))
 @example(positions=[(0, 0), (150, 200), (250, 0), (251, 0)], moves=[])
 def test_reach_masks_match_brute_force_fixed_positions_and_moves(positions, moves):
-    """Integer positions (an int64 array) and moves between queries, some of
-    them to exactly the range from node 0, some at the same instant."""
+    """Integer and float positions and moves between queries, some of them
+    to exactly the range from node 0, some at the same instant."""
     fixed = FixedPositions(positions)
     oracle = FixedPositions(positions)
     radio = radio_for(Simulator(), fixed)

@@ -78,9 +78,10 @@ def test_packets_carry_flow_metadata_and_sequence():
     trace, sent = run_generator([flow])
     pkts = [p for _, _, p in sent]
     assert [p.seq for p in pkts] == list(range(len(pkts)))
-    assert all(isinstance(p, AppPacket) and p.flow_id == 7 and p.src == 3
-               and p.dst == 9 and p.size == 256 for p in pkts)
-    assert all(p.generated_at == t for t, _, p in sent)
+    assert all(isinstance(p, AppPacket) and p.flow_id == 7 and p.dst == 9
+               and p.size == 256 for p in pkts)
+    assert all(src == 3 for _, src, _ in sent)
+    assert all(trace.records[(7, p.seq)][0] == t for t, _, p in sent)
 
 
 def test_every_generated_packet_is_traced():
