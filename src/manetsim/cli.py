@@ -152,7 +152,6 @@ def main(argv=None):
 def _cmd_run(args):
     config = build_config(args)
     config.check()
-    os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv") if args.trace else None
     move_path = os.path.join(args.out, "movement.csv") if args.move_trace else None
     record, _ = run_scenario(config, trace_path=trace_path,

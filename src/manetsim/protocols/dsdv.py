@@ -6,14 +6,15 @@ sequence number is newer, or when it is equally fresh with a strictly
 smaller hop count; otherwise the advertisement is ignored.  Broken links
 invalidate routes by making their sequence number odd.  The rule is one
 compare of ranks: a dump meets the rows of all its receivers in one rank
-array at once, and only the rows that win reach a receiver's install loop.
+array at once, and all the (receiver, destination) pairs that win install
+in one call.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .base import DATA, RoutingProtocol, receivers
+from .base import DATA, RoutingProtocol
 
 ADVERTISE_INTERVAL_US = 15_000_000
 ADVERTISE_JITTER = 0.2              # +-20% around the nominal interval
@@ -36,7 +37,8 @@ UPDATE = "dsdv-update"
 
 # A route's standing under the acceptance rule as one integer: a newer
 # sequence number always ranks higher, and at equal sequence numbers fewer
-# hops rank higher (hops <= INFINITY < RANK_SEQ).
+# hops rank higher (hops <= INFINITY < RANK_SEQ).  A table keeps a route as
+# its rank and its next hop.
 RANK_SEQ = 2 * INFINITY
 
 
@@ -44,31 +46,30 @@ def _rank(seq, hops):
     return seq * RANK_SEQ - hops
 
 
-def _valid(seq, hops):
+def _decode(rank):
+    """The (seq, hops) of a rank, scalar or array; exact for hops <= INFINITY."""
+    hops = -rank % RANK_SEQ
+    return (rank + hops) // RANK_SEQ, hops
+
+
+def _valid(rank):
     """A route forwards while its sequence number is even and its metric
-    finite; works on scalars and on arrays alike."""
-    return (seq % 2 == 0) & (hops < INFINITY)
+    finite: while -rank mod 2 * RANK_SEQ, its hop count plus RANK_SEQ if the
+    sequence number is odd, is below INFINITY.  Scalar or array."""
+    return -rank % (2 * RANK_SEQ) < INFINITY
 
 
-# The (seq, hops) of a destination without a route: invalid, a hop count no
-# route has, and a rank below every route's.
+# A destination without a route: next hop NO_ROUTE, and the rank of (seq,
+# hops) = (NO_ROUTE, NO_ROUTE), below every route's and invalid.
 NO_ROUTE = -1
 UNRANKED = _rank(NO_ROUTE, NO_ROUTE)
 
 Route = namedtuple("Route", "next_hop hops seq")
 
 
-def _update(origin, rows):
-    """The update origin sends for a copy of its (dest, seq, hops) rows:
-    (origin, entries, dests, ranks), entries those rows made, in place, into
-    what a receiver installs (one hop further unless unreachable)."""
-    hops = rows[:, 2]
-    hops += hops < INFINITY
-    return origin, rows, rows[:, 0], _rank(rows[:, 1], hops)
-
-
 class RankArray:
-    """The ranks of the routes of routers: row i is routers[i]._ranks."""
+    """The routes of routers as two arrays, the ranks and the next hops:
+    row i is routers[i]._ranks and routers[i]._next_hops."""
 
     def __init__(self, routers, size):
         self.routers = routers
@@ -76,20 +77,43 @@ class RankArray:
 
     def grow(self, size):
         """Extend every table to size destinations, none routed, and rebuild."""
-        for router in self.routers:
-            new = np.full((size - len(router._rows), 4), NO_ROUTE)
-            new[:, 0] = np.arange(len(router._rows), size)
-            router._rows = np.concatenate((router._rows, new))
+        self.ranks = np.full((len(self.routers), size), UNRANKED)
+        self.next_hops = np.full_like(self.ranks, NO_ROUTE)
+        for router, ranks, next_hops in zip(self.routers, self.ranks, self.next_hops):
+            ranks[:len(router._ranks)] = router._ranks
+            next_hops[:len(router._next_hops)] = router._next_hops
+            router._ranks, router._next_hops = ranks, next_hops
             router._network = self
-        rows = np.stack([router._rows for router in self.routers])
-        self.ranks = _rank(rows[..., 1], rows[..., 2])
-        for router, ranks in zip(self.routers, self.ranks):
-            router._ranks = ranks
+
+    def install(self, origin, dests, ranks, who, now):
+        """Write the routes over origin to dests[i] with ranks[i] into rows
+        who[i], none a router's own, and keep those routers' hold-downs;
+        returns the (row, dest) pairs whose metric or validity changed."""
+        prev_next_hops = self.next_hops[who, dests].tolist()
+        prev_ranks = self.ranks[who, dests].tolist()
+        self.ranks[who, dests] = ranks
+        self.next_hops[who, dests] = origin
+        routers = self.routers
+        changed = []
+        for node, dest, rank, prev, prev_next in zip(
+                who.tolist(), dests.tolist(), ranks.tolist(), prev_ranks, prev_next_hops):
+            hops, prev_hops = -rank % RANK_SEQ, -prev % RANK_SEQ     # as _decode
+            now_valid, was_valid = _valid(rank), _valid(prev)
+            settling = routers[node]._settling
+            if was_valid and now_valid and hops > prev_hops and origin != prev_next:
+                settling[dest] = (prev_next, prev_hops, now + SETTLE_US)
+            else:
+                sh = settling.get(dest)
+                if sh is not None and hops <= sh[1]:
+                    del settling[dest]
+            if hops != prev_hops or was_valid != now_valid:
+                changed.append((node, dest))
+        return changed
 
 
 class DsdvRouter(RoutingProtocol):
-    """The table: (dest, seq, hops, next hop) rows by destination and their
-    ranks, a row of its own RankArray until a run's first update joins all."""
+    """The table: a rank and a next hop per destination, a row of its own
+    RankArray until a run's first update joins all."""
 
     name = "dsdv"
 
@@ -97,7 +121,7 @@ class DsdvRouter(RoutingProtocol):
         super().__init__(node_id, sim, radio, trace, rng)
         self.own_seq = 0
         self._settling = {}       # dest -> (prev_next_hop, prev_hops, deadline_us)
-        self._rows = np.empty((0, 4), dtype=np.int64)
+        self._ranks = self._next_hops = np.empty(0, dtype=np.int64)
         RankArray([self], max(radio.node_count, node_id + 1))
         self._own_route()
         self._last_dump_us = -TRIGGER_SPACING_US
@@ -111,8 +135,10 @@ class DsdvRouter(RoutingProtocol):
     def table(self):
         """The routes as {dest: Route}, built from the arrays; writing to it
         changes nothing."""
-        return {dest: Route(next_hop, hops, seq) for dest, seq, hops, next_hop
-                in self._rows[self._ranks != UNRANKED].tolist()}
+        dests = (self._ranks != UNRANKED).nonzero()[0]
+        seq, hops = _decode(self._ranks[dests])
+        return {dest: Route(*route) for dest, *route in zip(
+            dests.tolist(), self._next_hops[dests].tolist(), hops.tolist(), seq.tolist())}
 
     # -- advertising --------------------------------------------------
 
@@ -130,16 +156,19 @@ class DsdvRouter(RoutingProtocol):
     def _own_route(self):
         """Store the route to the router itself: own_seq, no hops."""
         me = self.node_id
-        self._rows[me] = me, self.own_seq, 0, me
         self._ranks[me] = _rank(self.own_seq, 0)
+        self._next_hops[me] = me
 
     def _dump(self):
-        """Broadcast every route, in destination order, own one included."""
-        rows = self._rows[self._ranks != UNRANKED, :3]
-        size = UPDATE_HEADER_BYTES + UPDATE_ENTRY_BYTES * len(rows)
+        """Broadcast every route, own one included, as (origin, dests, ranks):
+        the ranks a receiver installs, one hop further unless unreachable."""
+        dests = (self._ranks != UNRANKED).nonzero()[0]
+        ranks = self._ranks[dests]
+        ranks -= ranks % RANK_SEQ != INFINITY
+        size = UPDATE_HEADER_BYTES + UPDATE_ENTRY_BYTES * len(dests)
         self._last_dump_us = self.sim.now
         self._trigger_pending = False
-        self._broadcast(size, UPDATE, _update(self.node_id, rows))
+        self._broadcast(size, UPDATE, (self.node_id, dests, ranks))
 
     def _trigger_update(self):
         """Broadcast a (rate-limited) triggered full dump."""
@@ -161,71 +190,46 @@ class DsdvRouter(RoutingProtocol):
     @classmethod
     def deliver_broadcast(cls, routers, mask, frame):
         """Compare an update (DSDV's only broadcast) with the ranks of all its
-        receivers at once, each one's own destination left out; then, in node
-        order, each receiver with winning rows installs them."""
-        origin, entries, dests, ranks = frame.payload
+        receivers at once, each one's own destination left out, and hand
+        every winning (receiver, destination) pair to one handle_update."""
+        origin, dests, ranks = frame.payload
         network = routers[0]._network
         if network.routers is not routers:      # the run's first update
-            network = RankArray(routers, max(len(router._rows) for router in routers))
-        nodes = np.array(list(receivers(mask)))
+            network = RankArray(routers, max(len(router._ranks) for router in routers))
+        bits = np.frombuffer(mask.to_bytes((len(routers) + 7) // 8, "little"), np.uint8)
+        nodes = np.unpackbits(bits, bitorder="little").nonzero()[0]
         stored = network.ranks.take(nodes, 0)
         if len(dests) < stored.shape[1]:    # not a dump of every destination
             stored = stored.take(dests, 1)
         wins = ranks > stored
         wins &= dests != nodes[:, None]
-        who, won = np.divmod(np.flatnonzero(wins), len(dests))
-        if not len(won):
-            return
-        who = nodes[who].tolist() + [-1]        # -1 closes the last run of rows
-        rows, ranks = entries[won].tolist(), ranks[won].tolist()
-        first = 0
-        for at, node in enumerate(who):
-            if node != who[first]:
-                routers[who[first]].handle_update(
-                    (origin, rows[first:at], ranks[first:at]))
-                first = at
+        who, won = wins.nonzero()
+        if len(won):
+            routers[origin].handle_update((origin, dests[won], ranks[won], nodes[who]))
+
+    def handle_update(self, msg):
+        """Install the winning pairs of an update, msg = (origin, dests,
+        ranks, who), then trigger the update of each receiver with a changed
+        route, in node order; returns the changed (receiver, dest) pairs."""
+        network = self._network
+        changed = network.install(*msg, self.sim.now)
+        for node in dict.fromkeys(node for node, _dest in changed):
+            network.routers[node]._trigger_update()
+        return changed
 
     def apply_update_entry(self, dest, adv_seq, adv_hops, origin):
         """Process one advertised (dest, seq, hops) triple from a neighbor
-        as a one-row update; True when the acceptance rule installs it."""
-        _, rows, _, ranks = _update(origin, np.array([(dest, adv_seq, adv_hops)]))
+        as a one-pair update, without a trigger; True when the acceptance
+        rule installs it."""
         if dest >= len(self._ranks):        # a destination beyond the table
             self._network.grow(2 * dest + 1)
-        if dest == self.node_id or ranks[0] <= self._ranks[dest]:
+        rank = _rank(adv_seq, adv_hops + (adv_hops < INFINITY))
+        if dest == self.node_id or rank <= self._ranks[dest]:
             return False
-        self._install(origin, rows.tolist(), ranks.tolist())
+        network = self._network
+        row = network.routers.index(self)
+        network.install(origin, *np.array([[dest], [rank], [row]]), self.sim.now)
         return True
-
-    def handle_update(self, msg):
-        """Install the winning rows of an update, msg = (origin, rows,
-        ranks); returns the destinations whose metric or validity changed."""
-        changed = self._install(*msg)
-        if changed:
-            self._trigger_update()
-        return changed
-
-    def _install(self, origin, rows, ranks):
-        """Install (dest, seq, hops) rows from neighbor origin that beat
-        the stored routes, none the router's own, with their hold-downs."""
-        changed = []
-        now = self.sim.now
-        settling = self._settling
-        table_rows, table_ranks = self._rows, self._ranks
-        for (dest, seq, hops), rank in zip(rows, ranks):
-            _, prev_seq, prev_hops, prev_next = table_rows[dest].tolist()
-            table_rows[dest, 1:] = seq, hops, origin
-            table_ranks[dest] = rank
-            was_valid = _valid(prev_seq, prev_hops)
-            now_valid = _valid(seq, hops)
-            if was_valid and now_valid and hops > prev_hops and origin != prev_next:
-                settling[dest] = (prev_next, prev_hops, now + SETTLE_US)
-            else:
-                sh = settling.get(dest)
-                if sh is not None and hops <= sh[1]:
-                    del settling[dest]
-            if hops != prev_hops or was_valid != now_valid:
-                changed.append(dest)
-        return changed
 
     # -- link failure -------------------------------------------------
 
@@ -240,12 +244,8 @@ class DsdvRouter(RoutingProtocol):
         """Mark every valid route through dead_neighbor broken (odd seq,
         infinite hops); returns the invalidated destinations.  The own
         route's next hop is the router itself, never a neighbor."""
-        rows = self._rows
-        out = ((rows[:, 3] == dead_neighbor)
-               & _valid(rows[:, 1], rows[:, 2])).nonzero()[0]
-        rows[out, 1] += 1
-        rows[out, 2] = INFINITY
-        self._ranks[out] = _rank(rows[out, 1], INFINITY)
+        out = ((self._next_hops == dead_neighbor) & _valid(self._ranks)).nonzero()[0]
+        self._ranks[out] = _rank(_decode(self._ranks[out])[0] + 1, INFINITY)
         for dest, sh in list(self._settling.items()):
             if sh[0] == dead_neighbor:
                 del self._settling[dest]
@@ -262,8 +262,8 @@ class DsdvRouter(RoutingProtocol):
             if self.sim.now < sh[2]:
                 return sh[0]
             del self._settling[dest]
-        if _valid(self._rows.item(dest, 1), self._rows.item(dest, 2)):
-            return self._rows.item(dest, 3)
+        if _valid(self._ranks.item(dest)):
+            return self._next_hops.item(dest)
         return None
 
     def send_app_packet(self, pkt):

@@ -47,7 +47,7 @@ class RouteCache:
         self.paths = []
 
     def insert(self, route):
-        route = make_source_route(route)
+        """Store a path tuple: a suffix of a checked reply path, so loop-free."""
         if len(route) < 2 or route in self.paths:
             return
         if len(self.paths) >= CACHE_CAPACITY:

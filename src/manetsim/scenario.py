@@ -3,6 +3,7 @@ from a ScenarioConfig and run one simulation."""
 
 import gc
 import math
+import os
 from dataclasses import dataclass, fields
 
 from .engine import US_PER_S, RngStream, Simulator, to_us
@@ -173,7 +174,8 @@ def run_scenario(config, trace_path=None, move_trace_path=None,
     samples it again from t=0 once the run is over; without one, the trace
     samples a fresh model built from the config.  The movement trace takes
     a sample every *move_trace_interval* seconds, which must round to at
-    least one microsecond.
+    least one microsecond.  The directories of the output files are made
+    when the files are written, so a refused run leaves none behind.
     """
     if move_trace_path and not (math.isfinite(move_trace_interval)
                                 and to_us(move_trace_interval) > 0):
@@ -188,6 +190,8 @@ def run_scenario(config, trace_path=None, move_trace_path=None,
 
     windowed = trace.window(to_us(config.warmup), to_us(config.sim_time))
     record = summarize(windowed)
+    for path in filter(None, (trace_path, move_trace_path)):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if trace_path:
         write_trace_csv(trace, trace_path)
     if move_trace_path:

@@ -2,8 +2,11 @@
 
 from hypothesis import example, given, settings, strategies as st
 
-from manetsim.protocols.dsdv import (INFINITY, SETTLE_US, UPDATE_ENTRY_BYTES,
-                                     UPDATE_HEADER_BYTES, DsdvRouter)
+import numpy as np
+
+from manetsim.protocols.dsdv import (INFINITY, SETTLE_US, UNRANKED,
+                                     UPDATE_ENTRY_BYTES, UPDATE_HEADER_BYTES,
+                                     DsdvRouter, _decode, _rank, _valid)
 
 from conftest import Net
 
@@ -65,6 +68,31 @@ def test_advertised_infinity_stays_infinite():
     assert r.route_lookup(5) is None  # odd seq and infinite metric
 
 
+# -- ranks --------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1 << 40), st.integers(0, INFINITY))
+@example(0, 0)
+@example(0, INFINITY)
+@example(1, INFINITY - 1)
+@example(1 << 40, INFINITY)
+def test_rank_decodes_to_seq_and_hops(seq, hops):
+    """A table stores only ranks: each gives back its (seq, hops) and its
+    validity, as a scalar and in an array."""
+    rank = _rank(seq, hops)
+    assert _decode(rank) == (seq, hops)
+    assert _valid(rank) == (seq % 2 == 0 and hops < INFINITY)
+    seqs, hopss = _decode(np.array([rank, rank]))
+    assert seqs.tolist() == [seq, seq] and hopss.tolist() == [hops, hops]
+    assert _valid(np.array([rank])).tolist() == [_valid(rank)]
+
+
+def test_unranked_decodes_as_invalid():
+    assert not _valid(UNRANKED)
+    assert not _valid(np.array([UNRANKED]))[0]
+    assert _decode(UNRANKED)[1] > INFINITY
+
+
 # -- full dumps ---------------------------------------------------------
 
 def test_periodic_advertise_bumps_sequence_by_two():
@@ -122,11 +150,12 @@ def check_dump_against_rows(routes, sender_dead, holdings):
     a dump, which deliver_broadcast hands to routers 1, 2, ... at once;
     router r first holds holdings[r - 1] = (held, dead).  A twin of each
     receiver in a second network applies the same rows one at a time with
-    apply_update_entry.  Each receiver must end in its twin's routes,
-    hold-downs and next hops, its changed list must name each destination
-    whose metric or validity changed, a row must be installed exactly when
-    the acceptance rule says so, and the receivers with a change must send
-    their triggered dumps in node order."""
+    apply_update_entry.  The dump must reach handle_update in at most one
+    call, holding each (receiver, dest) pair the acceptance rule installs
+    and no other.  Each receiver must end in its twin's routes, hold-downs
+    and next hops, the changed pairs returned must name each destination
+    whose metric or validity changed at each receiver, and the receivers
+    with a change must send their triggered dumps in node order."""
     n = len(holdings) + 2
     net, twins = dsdv_net(n), dsdv_net(n)
     sender = net.routers[0]
@@ -140,24 +169,34 @@ def check_dump_against_rows(routes, sender_dead, holdings):
         hold(twins.routers[node], held, dead)
     frame = dump_of(sender)
     rows = [(dest, route.seq, route.hops) for dest, route in sender.table.items()]
-    dests = frame.payload[1][:, 0].tolist()
-    assert dests == [dest for dest, _seq, _hops in rows]
-    assert len(set(dests)) == len(dests)
+    origin, dests, _ranks = frame.payload
+    assert origin == 0
+    assert dests.tolist() == [dest for dest, _seq, _hops in rows]
+    assert len(set(dests.tolist())) == len(dests)
 
-    receivers = range(1, n - 1)
-    got = {node: [] for node in receivers}
-    for router in net.routers[1:-1]:
-        def recorded(msg, handle=router.handle_update, log=got[router.node_id]):
-            changed = handle(msg)
-            log += changed
-            return changed
-        router.handle_update = recorded
+    calls = []
+
+    def recorded(msg, handle=sender.handle_update):
+        changed = handle(msg)
+        calls.append((msg, changed))
+        return changed
+
+    sender.handle_update = recorded
     triggered = []
     net.radio.on_transmit = lambda fr: triggered.append(fr.src)
+    receivers = range(1, n - 1)
     mask = sum(1 << node for node in receivers)
     DsdvRouter.deliver_broadcast(net.routers, mask, frame)
 
-    want = {node: [] for node in receivers}
+    assert len(calls) <= 1
+    pairs, got = [], {node: [] for node in receivers}
+    for (_origin, won, _ranks, who), changed in calls:
+        assert len(won) == len(who)
+        pairs = list(zip(who.tolist(), won.tolist()))
+        for node, dest in changed:
+            assert type(node) is int and type(dest) is int
+            got[node].append(dest)
+    installs, want = [], {node: [] for node in receivers}
     for node in receivers:
         bulk, ref = net.routers[node], twins.routers[node]
         for dest, seq, hops in rows:
@@ -166,6 +205,8 @@ def check_dump_against_rows(routes, sender_dead, holdings):
             hops = hops + 1 if hops < INFINITY else INFINITY
             assert installed == (dest != node and (
                 cur is None or seq > cur.seq or (seq == cur.seq and hops < cur.hops)))
+            if installed:
+                installs.append((node, dest))
             if metric(ref.table.get(dest)) != metric(cur):
                 want[node].append(dest)
         assert got[node] == want[node]
@@ -175,6 +216,7 @@ def check_dump_against_rows(routes, sender_dead, holdings):
             hop = bulk.route_lookup(dest)
             assert hop == ref.route_lookup(dest)
             assert hop is None or type(hop) is int
+    assert pairs == installs
     assert triggered == [node for node in receivers if want[node]]
 
 
@@ -299,6 +341,14 @@ def test_worse_fresher_route_is_shadowed_until_confirmed():
     assert r.route_lookup(5) == 3             # forwarding holds the old hop
     r.apply_update_entry(5, 12, 1, origin=3)  # equally fresh, as short
     assert r.route_lookup(5) == 3
+    assert 5 not in r._settling
+
+
+def test_fresher_route_as_short_switches_at_once():
+    r = one_router()
+    r.apply_update_entry(5, 10, 1, origin=3)
+    r.apply_update_entry(5, 12, 1, origin=7)  # fresher, as short, other hop
+    assert r.route_lookup(5) == 7
     assert 5 not in r._settling
 
 

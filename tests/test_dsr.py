@@ -75,7 +75,7 @@ def test_missing_route_returns_none():
 def test_cache_paths_always_duplicate_free(paths):
     c = RouteCache()
     for p in paths:
-        c.insert(p)
+        c.insert(tuple(p))
     for path in c.paths:
         assert len(set(path)) == len(path)
     assert len(c.paths) <= CACHE_CAPACITY

@@ -250,11 +250,11 @@ def test_cli_run_prints_metrics(tmp_path, capsys):
     code = main(["run", "--protocol", "DSDV", "--nodes", "12", "--seed", "3",
                  "--sim-time", "12", "--mac", "ideal", "--pause", "static",
                  "--config", _fast_cfg(tmp_path),
-                 "--out", str(tmp_path), "--trace"])
+                 "--out", str(tmp_path / "out"), "--trace"])
     assert code == 0
     out = capsys.readouterr().out
     assert "protocol=DSDV" in out and "pdr=" in out
-    assert (tmp_path / "trace.csv").exists()
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_cli_sweep_and_plotdata(tmp_path, capsys):
@@ -293,7 +293,7 @@ def test_cli_run_rejects_a_move_trace_interval_under_a_tick(tmp_path, interval):
         timeout=20)
     assert done.returncode == 1
     assert "config error: move_trace_interval" in done.stderr
-    assert not (out / "movement.csv").exists()
+    assert not out.exists()
 
 
 def _fast_cfg(tmp_path):

@@ -62,4 +62,10 @@ def test_tracer_sees_every_layer(protocol, monkeypatch):
         assert t.span_count(span) > 0, span
     assert len(returned) == 1 and returned[0] > 0
     assert t.counts["events"] == returned[0]
+    if protocol == "DSDV":
+        # Every winning (receiver, destination) pair of every update reaches
+        # handle_update, and it returns every changed one: this scenario's
+        # exact counts, which the per-layer table reports.
+        assert t.counts["dsdv.update_entries"] == 1349
+        assert t.counts["dsdv.changed"] == 965
     assert _patch_targets() == before
