@@ -136,7 +136,7 @@ def write_trace_csv(trace, path):
             ])
 
 
-def read_trace_csv(path, packet_size=512):
+def read_trace_csv(path, packet_size):
     trace = PacketTrace()
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):

@@ -10,8 +10,6 @@ array at once, and all the (receiver, destination) pairs that win install
 in one call.
 """
 
-from collections import namedtuple
-
 import numpy as np
 
 from .base import DATA, RoutingProtocol
@@ -64,24 +62,17 @@ def _valid(rank):
 NO_ROUTE = -1
 UNRANKED = _rank(NO_ROUTE, NO_ROUTE)
 
-Route = namedtuple("Route", "next_hop hops seq")
-
 
 class RankArray:
-    """The routes of routers as two arrays, the ranks and the next hops:
-    row i is routers[i]._ranks and routers[i]._next_hops."""
+    """The routes of a run's routers as two n×n arrays, the ranks and the
+    next hops: row i is routers[i]._ranks and routers[i]._next_hops.  Built
+    by stacking the routers' own rows at the run's first update delivery."""
 
-    def __init__(self, routers, size):
+    def __init__(self, routers):
         self.routers = routers
-        self.grow(size)
-
-    def grow(self, size):
-        """Extend every table to size destinations, none routed, and rebuild."""
-        self.ranks = np.full((len(self.routers), size), UNRANKED)
-        self.next_hops = np.full_like(self.ranks, NO_ROUTE)
-        for router, ranks, next_hops in zip(self.routers, self.ranks, self.next_hops):
-            ranks[:len(router._ranks)] = router._ranks
-            next_hops[:len(router._next_hops)] = router._next_hops
+        self.ranks = np.stack([router._ranks for router in routers])
+        self.next_hops = np.stack([router._next_hops for router in routers])
+        for router, ranks, next_hops in zip(routers, self.ranks, self.next_hops):
             router._ranks, router._next_hops = ranks, next_hops
             router._network = self
 
@@ -112,8 +103,9 @@ class RankArray:
 
 
 class DsdvRouter(RoutingProtocol):
-    """The table: a rank and a next hop per destination, a row of its own
-    RankArray until a run's first update joins all."""
+    """The table: a rank and a next hop per node of the network, two rows
+    of its own until a run's first update stacks all routers' rows into
+    one RankArray."""
 
     name = "dsdv"
 
@@ -121,8 +113,9 @@ class DsdvRouter(RoutingProtocol):
         super().__init__(node_id, sim, radio, trace, rng)
         self.own_seq = 0
         self._settling = {}       # dest -> (prev_next_hop, prev_hops, deadline_us)
-        self._ranks = self._next_hops = np.empty(0, dtype=np.int64)
-        RankArray([self], max(radio.node_count, node_id + 1))
+        self._ranks = np.full(radio.node_count, UNRANKED)
+        self._next_hops = np.full(radio.node_count, NO_ROUTE)
+        self._network = None
         self._own_route()
         self._last_dump_us = -TRIGGER_SPACING_US
         self._trigger_pending = False
@@ -130,15 +123,6 @@ class DsdvRouter(RoutingProtocol):
     def start(self):
         first = self.rng.randrange(FIRST_ADVERTISE_MAX_US + 1)
         self.sim.at(first, self._periodic)
-
-    @property
-    def table(self):
-        """The routes as {dest: Route}, built from the arrays; writing to it
-        changes nothing."""
-        dests = (self._ranks != UNRANKED).nonzero()[0]
-        seq, hops = _decode(self._ranks[dests])
-        return {dest: Route(*route) for dest, *route in zip(
-            dests.tolist(), self._next_hops[dests].tolist(), hops.tolist(), seq.tolist())}
 
     # -- advertising --------------------------------------------------
 
@@ -193,9 +177,7 @@ class DsdvRouter(RoutingProtocol):
         receivers at once, each one's own destination left out, and hand
         every winning (receiver, destination) pair to one handle_update."""
         origin, dests, ranks = frame.payload
-        network = routers[0]._network
-        if network.routers is not routers:      # the run's first update
-            network = RankArray(routers, max(len(router._ranks) for router in routers))
+        network = routers[0]._network or RankArray(routers)
         bits = np.frombuffer(mask.to_bytes((len(routers) + 7) // 8, "little"), np.uint8)
         nodes = np.unpackbits(bits, bitorder="little").nonzero()[0]
         stored = network.ranks.take(nodes, 0)
@@ -216,20 +198,6 @@ class DsdvRouter(RoutingProtocol):
         for node in dict.fromkeys(node for node, _dest in changed):
             network.routers[node]._trigger_update()
         return changed
-
-    def apply_update_entry(self, dest, adv_seq, adv_hops, origin):
-        """Process one advertised (dest, seq, hops) triple from a neighbor
-        as a one-pair update, without a trigger; True when the acceptance
-        rule installs it."""
-        if dest >= len(self._ranks):        # a destination beyond the table
-            self._network.grow(2 * dest + 1)
-        rank = _rank(adv_seq, adv_hops + (adv_hops < INFINITY))
-        if dest == self.node_id or rank <= self._ranks[dest]:
-            return False
-        network = self._network
-        row = network.routers.index(self)
-        network.install(origin, *np.array([[dest], [rank], [row]]), self.sim.now)
-        return True
 
     # -- link failure -------------------------------------------------
 

@@ -64,8 +64,6 @@ class Radio:
 
     def __init__(self, sim, mobility, *, range_m, bandwidth_bps, latency_us,
                  retry_limit, ideal):
-        if range_m <= 0 or bandwidth_bps <= 0:
-            raise ValueError("range and bandwidth must be positive")
         self.sim = sim
         self.mobility = mobility
         self.node_count = node_count = mobility.node_count
@@ -182,7 +180,7 @@ class Radio:
         qb = 2 * (d[0] * w[0] + d[1] * w[1])
         above = sq - (rr + band)      # > 0: outside the band, above it
         below = sq - (rr - band)      # < 0: inside the band's inner edge
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Entry from above: the first root of q = rr + band, while q falls.
             root = np.sqrt(qb * qb - 4 * qa * above)
             down = np.where((above > 0) & (qb < 0), 2 * above / (root - qb), np.nan)

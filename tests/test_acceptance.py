@@ -11,6 +11,7 @@ import random
 import time
 from collections import deque
 
+import numpy as np
 import pytest
 
 from manetsim.engine import RngStream, to_us
@@ -19,7 +20,9 @@ from manetsim.metrics import (NoTraffic, PacketTrace, compute_avg_delay,
 from manetsim.mobility import STATIC, FixedPositions
 from manetsim.protocols import make_router
 from manetsim.protocols.aodv import AodvEntry, Rreq
+from manetsim.protocols.dsdv import UPDATE, DsdvRouter, _decode, _rank
 from manetsim.protocols.dsr import MalformedRoute, make_source_route
+from manetsim.radio import Frame
 from manetsim.scenario import ScenarioConfig, build_simulation
 from manetsim.sweep import SweepSpec, cell_mean, run_sweep
 
@@ -119,27 +122,35 @@ def test_criterion_1_static_network_oracle(capsys):
 # -- criterion 2: DSDV update-acceptance conformance --------------------
 
 def test_criterion_2_dsdv_acceptance_rule(capsys):
+    """Each triple on a fresh network: receiver 0 learns a route to 3 from
+    origin 1, then hears origin 2 advertise another, each as a one-row
+    update through deliver_broadcast."""
     rng = random.Random(42)
-    router = Net([(0, 0)], protocol="DSDV").routers[0]
     mismatches = 0
     for trial in range(1000):
-        dest = 10 + trial
+        net = Net([(0, 0), (100, 0), (200, 0), (300, 0)], protocol="DSDV")
+        router = net.routers[0]
+
+        def advertise(origin, seq, adv_hops):
+            update = (origin, np.array([3]), np.array([_rank(seq, adv_hops + 1)]))
+            DsdvRouter.deliver_broadcast(net.routers, 1, Frame(origin, 0, UPDATE, update))
+
+        def route():
+            seq, hops = _decode(router._ranks.item(3))
+            return seq, hops, router._next_hops.item(3)
+
         seq_stored = rng.randrange(2, 21)
         hops_stored = rng.randrange(1, 9)
-        assert router.apply_update_entry(dest, seq_stored, hops_stored - 1,
-                                         origin=1)
+        advertise(1, seq_stored, hops_stored - 1)
+        assert route() == (seq_stored, hops_stored, 1)
         seq_new = rng.randrange(0, 23)
         adv_hops = rng.randrange(0, 9)
         # direct restatement of the acceptance conditions
         expected = (seq_new > seq_stored
                     or (seq_new == seq_stored and adv_hops + 1 < hops_stored))
-        got = router.apply_update_entry(dest, seq_new, adv_hops, origin=2)
-        entry = router.table[dest]
-        state_ok = ((entry.seq, entry.hops, entry.next_hop)
-                    == (seq_new, adv_hops + 1, 2) if expected
-                    else (entry.seq, entry.hops, entry.next_hop)
-                    == (seq_stored, hops_stored, 1))
-        if got != expected or not state_ok:
+        advertise(2, seq_new, adv_hops)
+        if route() != ((seq_new, adv_hops + 1, 2) if expected
+                       else (seq_stored, hops_stored, 1)):
             mismatches += 1
     report(capsys, "criterion 2: DSDV update-acceptance rule (1000 triples)",
            mismatches == 0, f" mismatches={mismatches}")

@@ -1,71 +1,106 @@
-"""DSDV: update acceptance rule, invalidation, hold-down, forwarding."""
+"""DSDV: update acceptance rule, invalidation, hold-down, forwarding.
+
+Every route reaches a table through DsdvRouter.deliver_broadcast, the path
+a run's updates take."""
+
+from collections import namedtuple
 
 from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
-from manetsim.protocols.dsdv import (INFINITY, SETTLE_US, UNRANKED,
+from manetsim.protocols.dsdv import (INFINITY, SETTLE_US, UNRANKED, UPDATE,
                                      UPDATE_ENTRY_BYTES, UPDATE_HEADER_BYTES,
                                      DsdvRouter, _decode, _rank, _valid)
+from manetsim.radio import Frame
 
 from conftest import Net
 
-US = 1_000_000
+# Every destination and origin the tests name is a node of the network.
+SIZE = 10
 
 
-def one_router(**kw):
-    return Net([(0, 0)], protocol="DSDV", **kw).routers[0]
+def dsdv_net(n=SIZE):
+    """A network of n DSDV routers, none in range of another."""
+    return Net([(1000 * i, 0) for i in range(n)], protocol="DSDV")
 
 
-def two_net(**kw):
-    return Net([(0, 0), (100, 0)], protocol="DSDV", **kw)
+def deliver(net, origin, rows, receivers=(0,)):
+    """Broadcast an update from origin listing rows of (dest, seq, hops) as
+    origin holds them, each one hop further unless unreachable, to the
+    routers numbered in receivers; returns the (receiver, dest) pairs whose
+    rank or next hop changed."""
+    dests = np.array([dest for dest, _seq, _hops in rows], dtype=np.int64)
+    ranks = np.array([_rank(seq, hops + (hops < INFINITY)) for _dest, seq, hops in rows],
+                     dtype=np.int64)
+
+    def stored(node):
+        router = net.routers[node]
+        return zip(router._ranks[dests].tolist(), router._next_hops[dests].tolist())
+
+    before = [list(stored(node)) for node in receivers]
+    DsdvRouter.deliver_broadcast(net.routers, sum(1 << node for node in receivers),
+                                 Frame(origin, 0, UPDATE, (origin, dests, ranks)))
+    return [(node, dest) for node, old in zip(receivers, before)
+            for dest, was, now in zip(dests.tolist(), old, stored(node)) if was != now]
+
+
+Route = namedtuple("Route", "next_hop hops seq")
+
+
+def routes(router):
+    """The routes of router as {dest: Route}, decoded from its rank and
+    next-hop rows."""
+    dests = (router._ranks != UNRANKED).nonzero()[0]
+    seq, hops = _decode(router._ranks[dests])
+    return {dest: Route(*route) for dest, *route in zip(
+        dests.tolist(), router._next_hops[dests].tolist(), hops.tolist(), seq.tolist())}
 
 
 # -- acceptance rule ----------------------------------------------------
 
 def test_unknown_destination_is_installed():
-    r = one_router()
-    assert r.apply_update_entry(5, 10, 2, origin=3)
-    e = r.table[5]
-    assert (e.next_hop, e.hops, e.seq) == (3, 3, 10)
+    net = dsdv_net()
+    assert deliver(net, 3, [(5, 10, 2)]) == [(0, 5)]
+    assert routes(net.routers[0])[5] == (3, 3, 10)
 
 
 def test_newer_sequence_always_wins():
-    r = one_router()
-    r.apply_update_entry(5, 10, 1, origin=3)
+    net = dsdv_net()
+    deliver(net, 3, [(5, 10, 1)])
     # fresher but longer route still replaces the stored one
-    assert r.apply_update_entry(5, 12, 4, origin=7)
-    assert r.table[5].seq == 12 and r.table[5].hops == 5
+    assert deliver(net, 7, [(5, 12, 4)]) == [(0, 5)]
+    assert routes(net.routers[0])[5] == (7, 5, 12)
 
 
 def test_equal_sequence_needs_strictly_fewer_hops():
-    r = one_router()
-    r.apply_update_entry(5, 10, 3, origin=3)
-    assert not r.apply_update_entry(5, 10, 3, origin=7)   # same hops: ignore
-    assert not r.apply_update_entry(5, 10, 5, origin=7)   # more hops: ignore
-    assert r.table[5].next_hop == 3
-    assert r.apply_update_entry(5, 10, 1, origin=7)       # fewer: replace
-    assert r.table[5].next_hop == 7 and r.table[5].hops == 2
+    net = dsdv_net()
+    deliver(net, 3, [(5, 10, 3)])
+    assert deliver(net, 7, [(5, 10, 3)]) == []       # same hops: ignore
+    assert deliver(net, 7, [(5, 10, 5)]) == []       # more hops: ignore
+    assert routes(net.routers[0])[5].next_hop == 3
+    assert deliver(net, 7, [(5, 10, 1)]) == [(0, 5)]  # fewer: replace
+    assert routes(net.routers[0])[5] == (7, 2, 10)
 
 
 def test_older_sequence_is_ignored():
-    r = one_router()
-    r.apply_update_entry(5, 10, 1, origin=3)
-    assert not r.apply_update_entry(5, 8, 0, origin=7)
-    assert r.table[5].seq == 10
+    net = dsdv_net()
+    deliver(net, 3, [(5, 10, 1)])
+    assert deliver(net, 7, [(5, 8, 0)]) == []
+    assert routes(net.routers[0])[5].seq == 10
 
 
 def test_own_entry_is_never_overwritten():
-    r = one_router()
-    assert not r.apply_update_entry(0, 999, 0, origin=3)
-    assert r.table[0].hops == 0 and r.table[0].next_hop == 0
+    net = dsdv_net()
+    assert deliver(net, 3, [(0, 999, 0)]) == []
+    assert routes(net.routers[0])[0] == (0, 0, 0)
 
 
 def test_advertised_infinity_stays_infinite():
-    r = one_router()
-    r.apply_update_entry(5, 11, INFINITY, origin=3)
-    assert r.table[5].hops == INFINITY
-    assert r.route_lookup(5) is None  # odd seq and infinite metric
+    net = dsdv_net()
+    deliver(net, 3, [(5, 11, INFINITY)])
+    assert routes(net.routers[0])[5].hops == INFINITY
+    assert net.routers[0].route_lookup(5) is None  # odd seq and infinite metric
 
 
 # -- ranks --------------------------------------------------------------
@@ -96,7 +131,7 @@ def test_unranked_decodes_as_invalid():
 # -- full dumps ---------------------------------------------------------
 
 def test_periodic_advertise_bumps_sequence_by_two():
-    r = one_router()
+    r = Net([(0, 0)], protocol="DSDV").routers[0]
     assert r.own_seq == 0
     r.periodic_advertise()
     r.periodic_advertise()
@@ -105,20 +140,14 @@ def test_periodic_advertise_bumps_sequence_by_two():
 
 
 def test_dump_size_counts_header_plus_entries():
-    net = two_net()
+    net = dsdv_net()
     sizes = []
     net.radio.on_transmit = lambda fr: sizes.append((fr.kind, fr.size))
-    r = net.routers[0]
-    r.apply_update_entry(5, 10, 1, origin=1)
-    r.periodic_advertise()
+    deliver(net, 1, [(5, 10, 1)])
+    net.routers[0].periodic_advertise()
     kind, size = sizes[-1]
     assert kind == "dsdv-update"
     assert size == UPDATE_HEADER_BYTES + 2 * UPDATE_ENTRY_BYTES  # self + dest 5
-
-
-def dsdv_net(n):
-    """A network of n DSDV routers, none in range of another."""
-    return Net([(1000 * i, 0) for i in range(n)], protocol="DSDV")
 
 
 def dump_of(sender):
@@ -129,13 +158,13 @@ def dump_of(sender):
     return frames[-1]
 
 
-def hold(router, held, dead):
-    """Install the (dest, seq, hops, origin) routes held one at a time, then
-    break the link to dead, unless it is None."""
+def hold(net, node, held, dead):
+    """Deliver the (dest, seq, hops, origin) routes held to node one at a
+    time, then break its link to dead, unless it is None."""
     for dest, seq, hops, origin in held:
-        router.apply_update_entry(dest, seq, hops, origin)
+        deliver(net, origin, [(dest, seq, hops)], (node,))
     if dead is not None:
-        router.invalidate_via(dead)
+        net.routers[node].invalidate_via(dead)
 
 
 def metric(route):
@@ -145,30 +174,26 @@ def metric(route):
     return route.hops, route.seq % 2 == 0 and route.hops < INFINITY
 
 
-def check_dump_against_rows(routes, sender_dead, holdings):
-    """Router 0 holds routes, loses its link to sender_dead and broadcasts
-    a dump, which deliver_broadcast hands to routers 1, 2, ... at once;
-    router r first holds holdings[r - 1] = (held, dead).  A twin of each
-    receiver in a second network applies the same rows one at a time with
-    apply_update_entry.  The dump must reach handle_update in at most one
-    call, holding each (receiver, dest) pair the acceptance rule installs
-    and no other.  Each receiver must end in its twin's routes, hold-downs
-    and next hops, the changed pairs returned must name each destination
-    whose metric or validity changed at each receiver, and the receivers
-    with a change must send their triggered dumps in node order."""
-    n = len(holdings) + 2
-    net, twins = dsdv_net(n), dsdv_net(n)
+def check_dump_against_rows(routes_held, sender_dead, holdings):
+    """Router 0 holds routes_held, loses its link to sender_dead and
+    broadcasts a dump, which deliver_broadcast hands to routers 1, 2, ...
+    at once; router r first holds holdings[r - 1] = (held, dead).  A twin
+    of each receiver in a second network is sent the dump's rows as
+    one-row updates, one after the other.  The dump must reach
+    handle_update in at most one call, holding each (receiver, dest) pair
+    the acceptance rule installs and no other.  Each receiver must end in
+    its twin's routes, hold-downs and next hops, the changed pairs returned
+    must name each destination whose metric or validity changed at each
+    receiver, and the receivers with a change must trigger their updates
+    in node order."""
+    net, twins = dsdv_net(), dsdv_net()
     sender = net.routers[0]
-    # A first update, to the spare last router, joins the network's ranks
-    # into one array, as a run's first update does; tables that grow to
-    # hold the routes below grow after that.
-    DsdvRouter.deliver_broadcast(net.routers, 1 << (n - 1), dump_of(sender))
-    hold(sender, routes, sender_dead)
+    hold(net, 0, routes_held, sender_dead)
     for node, (held, dead) in enumerate(holdings, 1):
-        hold(net.routers[node], held, dead)
-        hold(twins.routers[node], held, dead)
+        hold(net, node, held, dead)
+        hold(twins, node, held, dead)
     frame = dump_of(sender)
-    rows = [(dest, route.seq, route.hops) for dest, route in sender.table.items()]
+    rows = [(dest, route.seq, route.hops) for dest, route in routes(sender).items()]
     origin, dests, _ranks = frame.payload
     assert origin == 0
     assert dests.tolist() == [dest for dest, _seq, _hops in rows]
@@ -182,11 +207,11 @@ def check_dump_against_rows(routes, sender_dead, holdings):
         return changed
 
     sender.handle_update = recorded
+    receivers = range(1, len(holdings) + 1)
     triggered = []
-    net.radio.on_transmit = lambda fr: triggered.append(fr.src)
-    receivers = range(1, n - 1)
-    mask = sum(1 << node for node in receivers)
-    DsdvRouter.deliver_broadcast(net.routers, mask, frame)
+    for node in receivers:
+        net.routers[node]._trigger_update = lambda node=node: triggered.append(node)
+    DsdvRouter.deliver_broadcast(net.routers, sum(1 << node for node in receivers), frame)
 
     assert len(calls) <= 1
     pairs, got = [], {node: [] for node in receivers}
@@ -200,19 +225,20 @@ def check_dump_against_rows(routes, sender_dead, holdings):
     for node in receivers:
         bulk, ref = net.routers[node], twins.routers[node]
         for dest, seq, hops in rows:
-            cur = ref.table.get(dest)
-            installed = ref.apply_update_entry(dest, seq, hops, origin=0)
+            cur = routes(ref).get(dest)
+            installed = deliver(twins, 0, [(dest, seq, hops)], (node,)) == [(node, dest)]
             hops = hops + 1 if hops < INFINITY else INFINITY
             assert installed == (dest != node and (
                 cur is None or seq > cur.seq or (seq == cur.seq and hops < cur.hops)))
             if installed:
                 installs.append((node, dest))
-            if metric(ref.table.get(dest)) != metric(cur):
+                assert routes(ref)[dest] == (0, hops, seq)
+            if metric(routes(ref).get(dest)) != metric(cur):
                 want[node].append(dest)
         assert got[node] == want[node]
-        assert bulk.table == ref.table
+        assert routes(bulk) == routes(ref)
         assert bulk._settling == ref._settling
-        for dest in bulk.table:
+        for dest in routes(bulk):
             hop = bulk.route_lookup(dest)
             assert hop == ref.route_lookup(dest)
             assert hop is None or type(hop) is int
@@ -229,15 +255,15 @@ def one_receiver(held, break_link):
 
 
 def test_handle_update_matches_per_entry_rule():
-    """A dump and its rows applied one by one must agree."""
-    routes = [(2, 6, 1, 4), (3, 7, INFINITY, 4), (4, 0, 2, 5), (5, 10, 0, 5),
-              (6, 4, 3, 4), (7, 12, 2, 4)]
+    """A dump and its rows sent one by one must agree."""
+    routes_held = [(2, 6, 1, 4), (3, 7, INFINITY, 4), (4, 0, 2, 5), (5, 10, 0, 5),
+                   (6, 4, 3, 4), (7, 12, 2, 4)]
     # 4 and 5 become odd at the sender.  7 arrives fresher but longer over
     # a new next hop: a hold-down starts.
     held = [(1, 40, 0), (2, 6, 0), (3, 7, 2), (4, 2, 1), (5, 10, 1), (6, 4, 0),
             (7, 10, 0)]
-    check_dump_against_rows(routes, 5, one_receiver(held, False))
-    check_dump_against_rows(routes, 5, one_receiver(held, True))
+    check_dump_against_rows(routes_held, 5, one_receiver(held, False))
+    check_dump_against_rows(routes_held, 5, one_receiver(held, True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,8 +274,8 @@ def test_handle_update_matches_per_entry_rule():
                           st.sampled_from([0, 1, 2, 3, INFINITY])),
                 max_size=12),
        st.sampled_from([None, 2, 3]), st.booleans())
-def test_handle_update_equivalence_fuzz(routes, held, dead, break_link):
-    check_dump_against_rows(routes, dead, one_receiver(held, break_link))
+def test_handle_update_equivalence_fuzz(routes_held, held, dead, break_link):
+    check_dump_against_rows(routes_held, dead, one_receiver(held, break_link))
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,14 +299,13 @@ def test_dump_ranks_skip_only_ignored_entries(pairs, break_link):
     held = [(dest, max(0, seq + dseq),
              hops if hops == INFINITY else max(0, hops + dhops))
             for dest, seq, hops, dseq, dhops in pairs]
-    routes = [(dest, seq, hops, 2) for dest, seq, hops, _dseq, _dhops in pairs]
-    check_dump_against_rows(routes, None, one_receiver(held, break_link))
+    routes_held = [(dest, seq, hops, 2) for dest, seq, hops, _dseq, _dhops in pairs]
+    check_dump_against_rows(routes_held, None, one_receiver(held, break_link))
 
 
-# Routes to destinations up to 9 on networks of 3 to 7 nodes, so some
-# tables grow while the routes are installed.
-ROUTE = st.tuples(st.integers(0, 9), st.integers(0, 20),
-                  st.sampled_from([0, 1, 2, 3, INFINITY]), st.integers(0, 9))
+# Routes to any node of the network, learnt over any node.
+ROUTE = st.tuples(st.integers(0, SIZE - 1), st.integers(0, 20),
+                  st.sampled_from([0, 1, 2, 3, INFINITY]), st.integers(0, SIZE - 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,76 +320,81 @@ ROUTE = st.tuples(st.integers(0, 9), st.integers(0, 20),
 @example([(3, 8, 2, 2), (4, 6, 0, 2)], None,
          [([(3, 6, 0, 5), (3, 8, 4, 6)], None),
           ([(4, 4, 0, 5), (4, 6, 3, 6), (9, 2, 0, 5)], 6)])
-def test_dump_to_several_receivers_matches_rows_one_by_one(routes, dead, holdings):
-    check_dump_against_rows(routes, dead, holdings)
+def test_dump_to_several_receivers_matches_rows_one_by_one(routes_held, dead, holdings):
+    check_dump_against_rows(routes_held, dead, holdings)
 
 
 # -- invalidation -------------------------------------------------------
 
 def test_invalidate_via_makes_sequence_odd():
-    r = one_router()
-    r.apply_update_entry(5, 10, 1, origin=3)
-    r.apply_update_entry(6, 20, 2, origin=3)
-    r.apply_update_entry(7, 30, 1, origin=4)
+    net = dsdv_net()
+    r = net.routers[0]
+    deliver(net, 3, [(5, 10, 1), (6, 20, 2)])
+    deliver(net, 4, [(7, 30, 1)])
     gone = r.invalidate_via(3)
     assert sorted(gone) == [5, 6]
     for dest in (5, 6):
-        assert r.table[dest].seq % 2 == 1
-        assert r.table[dest].hops == INFINITY
+        assert routes(r)[dest].seq % 2 == 1
+        assert routes(r)[dest].hops == INFINITY
         assert r.route_lookup(dest) is None
     assert r.route_lookup(7) == 4
 
 
 def test_route_lookup_skips_invalid_routes():
-    r = one_router()
-    r.apply_update_entry(5, 10, 1, origin=3)
+    net = dsdv_net()
+    r = net.routers[0]
+    deliver(net, 3, [(5, 10, 1)])
     assert r.route_lookup(5) == 3
     r.invalidate_via(3)
     assert r.route_lookup(5) is None
 
 
 def test_newer_odd_sequence_resurrects_route():
-    r = one_router()
-    r.apply_update_entry(5, 10, 1, origin=3)
+    net = dsdv_net()
+    r = net.routers[0]
+    deliver(net, 3, [(5, 10, 1)])
     r.invalidate_via(3)                       # seq now 11
-    assert r.apply_update_entry(5, 12, 1, origin=4)
+    assert deliver(net, 4, [(5, 12, 1)]) == [(0, 5)]
     assert r.route_lookup(5) == 4
 
 
 # -- hold-down ----------------------------------------------------------
 
 def test_worse_fresher_route_is_shadowed_until_confirmed():
-    r = one_router()
-    r.apply_update_entry(5, 10, 1, origin=3)
-    r.apply_update_entry(5, 12, 4, origin=7)  # fresher but worse, other hop
-    assert r.table[5].next_hop == 7           # table follows the rule
+    net = dsdv_net()
+    r = net.routers[0]
+    deliver(net, 3, [(5, 10, 1)])
+    deliver(net, 7, [(5, 12, 4)])             # fresher but worse, other hop
+    assert routes(r)[5].next_hop == 7         # table follows the rule
     assert r.route_lookup(5) == 3             # forwarding holds the old hop
-    r.apply_update_entry(5, 12, 1, origin=3)  # equally fresh, as short
+    deliver(net, 3, [(5, 12, 1)])             # equally fresh, as short
     assert r.route_lookup(5) == 3
     assert 5 not in r._settling
 
 
 def test_fresher_route_as_short_switches_at_once():
-    r = one_router()
-    r.apply_update_entry(5, 10, 1, origin=3)
-    r.apply_update_entry(5, 12, 1, origin=7)  # fresher, as short, other hop
+    net = dsdv_net()
+    r = net.routers[0]
+    deliver(net, 3, [(5, 10, 1)])
+    deliver(net, 7, [(5, 12, 1)])             # fresher, as short, other hop
     assert r.route_lookup(5) == 7
     assert 5 not in r._settling
 
 
 def test_hold_down_expires():
-    net = Net([(0, 0)], protocol="DSDV")
+    net = dsdv_net()
     r = net.routers[0]
-    r.apply_update_entry(5, 10, 1, origin=3)
-    r.apply_update_entry(5, 12, 4, origin=7)
+    deliver(net, 3, [(5, 10, 1)])
+    deliver(net, 7, [(5, 12, 4)])
     net.sim.run_until(SETTLE_US + 1)
     assert r.route_lookup(5) == 7
 
 
 def test_hold_down_cleared_when_old_hop_dies():
-    r = one_router()
-    r.apply_update_entry(5, 10, 1, origin=3)
-    r.apply_update_entry(5, 12, 4, origin=7)
+    net = dsdv_net()
+    r = net.routers[0]
+    deliver(net, 3, [(5, 10, 1)])
+    deliver(net, 7, [(5, 12, 4)])
     r.invalidate_via(3)
     assert r.route_lookup(5) == 7
 

@@ -46,7 +46,7 @@ def test_warmup_must_precede_sim_end():
     ("per_hop_latency", -0.01), ("drain", -50.0), ("retry_limit", -1),
     ("rate", math.nan), ("sim_time", math.inf), ("radio_range", math.inf),
     ("area_width", math.nan), ("drain", math.nan), ("min_speed", 1e-12),
-    ("pause_time", 1e14)])
+    ("pause_time", 1e14), ("radio_range", 0.0), ("bandwidth", -1)])
 def test_validation_rejects_negative_and_non_finite(name, value):
     assert ScenarioConfig(**{name: value}).validate()
 
@@ -144,10 +144,10 @@ def test_different_seeds_differ():
 def test_run_scenario_writes_traces(tmp_path):
     trace_path = tmp_path / "trace.csv"
     move_path = tmp_path / "moves.csv"
-    record, trace = run_scenario(ScenarioConfig(**FAST),
-                                 trace_path=str(trace_path),
+    config = ScenarioConfig(**FAST)
+    record, trace = run_scenario(config, trace_path=str(trace_path),
                                  move_trace_path=str(move_path))
-    back = read_trace_csv(trace_path)
+    back = read_trace_csv(trace_path, config.packet_size)
     assert back.packets_sent == trace.packets_sent
     assert move_path.read_text().startswith("time,node,x,y\n")
 

@@ -137,14 +137,15 @@ def test_metrics_record_equality():
 
 
 def test_trace_csv_round_trip_bit_exact(tmp_path):
-    trace = make_trace([(0, 0, 123456, 3048 + 123456, 1, 512),
-                        (0, 1, 373456, None, 0, 512),
-                        (1, 0, 500000, 812345, 3, 512)])
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    back = read_trace_csv(path)
-    assert back.records == trace.records
-    assert summarize(back.window(0, US)) == summarize(trace.window(0, US))
+    for size in (512, 1024):
+        trace = make_trace([(0, 0, 123456, 3048 + 123456, 1, size),
+                            (0, 1, 373456, None, 0, size),
+                            (1, 0, 500000, 812345, 3, size)])
+        path = tmp_path / f"trace{size}.csv"
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path, size)
+        assert back.records == trace.records
+        assert summarize(back.window(0, US)) == summarize(trace.window(0, US))
 
 
 def test_trace_csv_header(tmp_path):
