@@ -23,14 +23,15 @@ class SchedulingInPast(Exception):
 
 
 class Event:
-    """A callable ``payload`` due at ``fire_at``; the object returned by
-    ``Simulator.at`` doubles as the cancellation handle."""
+    """A callable ``payload`` due at ``fire_at``, called with ``args``; the
+    object returned by ``Simulator.at`` doubles as the cancellation handle."""
 
-    __slots__ = ("fire_at", "payload")
+    __slots__ = ("fire_at", "payload", "args")
 
-    def __init__(self, fire_at, payload):
+    def __init__(self, fire_at, payload, args):
         self.fire_at = fire_at
         self.payload = payload
+        self.args = args
 
 
 def _stream_seed(master_seed, stream_id):
@@ -71,17 +72,23 @@ class Simulator:
         heapq.heappush(self._heap, (event.fire_at, next(self._seq), event))
         return event
 
-    def at(self, fire_at, fn):
-        """Schedule callable *fn* at absolute time *fire_at* (microseconds)."""
-        return self.schedule(Event(fire_at, fn))
+    def at(self, fire_at, fn, *args):
+        """Schedule ``fn(*args)`` at absolute time *fire_at* (microseconds)."""
+        return self.schedule(Event(fire_at, fn, args))
 
-    def after(self, delay, fn):
-        return self.at(self.now + delay, fn)
+    def after(self, delay, fn, *args):
+        return self.schedule(Event(self.now + delay, fn, args))
 
     def cancel(self, handle):
         """Cancel a pending event; cancelling it again, or after it fired,
         changes nothing."""
         handle.payload = None
+
+    def clear(self):
+        """Cancel and drop every pending event."""
+        for _fire_at, _seq, event in self._heap:
+            event.payload = None
+        self._heap.clear()
 
     def run_until(self, end):
         """Dispatch every event with fire_at <= end; clock ends at *end*.
@@ -97,6 +104,6 @@ class Simulator:
                 continue
             self.now = fire_at
             dispatched += 1
-            payload()
+            payload(*event.args)
         self.now = end
         return dispatched

@@ -31,14 +31,8 @@ from .engine import US_PER_S, RngStream
 STATIC = math.inf
 
 
-class InvalidNodeCount(Exception):
-    pass
-
-
 def init_positions(node_count, rng, width, height):
     """Draw node_count positions uniformly over the area rectangle."""
-    if node_count < 1:
-        raise InvalidNodeCount(f"node_count must be >= 1, got {node_count}")
     return [(rng.uniform(0.0, width), rng.uniform(0.0, height)) for _ in range(node_count)]
 
 

@@ -112,9 +112,10 @@ class AodvRouter(ReactiveProtocol):
         if dest == self.node_id:
             return self.node_id
         entry = self.table.get(dest)
-        if entry is None or not entry.usable(self.sim.now):
+        now = self.sim.now
+        if entry is None or not entry.valid or now >= entry.expires_at:
             return None
-        entry.expires_at = self.sim.now + ACTIVE_ROUTE_TIMEOUT_US
+        entry.expires_at = now + ACTIVE_ROUTE_TIMEOUT_US
         return entry.next_hop
 
     def _send(self, pkt, next_hop):
@@ -153,7 +154,7 @@ class AodvRouter(ReactiveProtocol):
             return
         fwd = Rreq(rreq.origin, rreq.rreq_id, rreq.dest, rreq.dest_seq_known,
                    rreq.origin_seq, rreq.hop_count + 1, rreq.flood)
-        self._jittered(lambda: self._broadcast(RREQ_BYTES, RREQ, fwd))
+        self._jittered(self._broadcast, RREQ_BYTES, RREQ, fwd)
 
     def handle_rrep(self, rrep, prev_hop):
         installed = self._install(rrep.dest, prev_hop, rrep.hop_count + 1,

@@ -3,6 +3,7 @@ hop-by-hop forwarding for the distance-vector protocols, and the on-demand
 send, discovery and release policy of the reactive ones."""
 
 from collections import deque
+from functools import partial
 
 from ..radio import Frame
 
@@ -50,9 +51,8 @@ def receivers(mask):
 def connect(radio, routers):
     """Hand the radio's frames to routers: a unicast to its receiver, a
     broadcast to all of its receivers in one call."""
-    radio.on_receive = lambda node, frame: routers[node].handle_frame(frame)
-    radio.on_broadcast = lambda mask, frame: routers[0].deliver_broadcast(
-        routers, mask, frame)
+    radio.handlers = [router.handle_frame for router in routers]
+    radio.on_broadcast = partial(routers[0].deliver_broadcast, routers)
 
 
 class RoutingProtocol:
@@ -103,16 +103,13 @@ class RoutingProtocol:
     def drop(self, reason):
         self.trace.record_drop(f"{self.name}:{reason}")
 
-    def _jittered(self, fn):
-        """Run fn now (no jitter) or after a small random delay."""
-        if self.flood_jitter_us <= 0:
-            fn()
+    def _jittered(self, fn, *args):
+        """Run fn(*args) now (no jitter) or after a small random delay."""
+        delay = self.flood_jitter_us and self.rng.randrange(self.flood_jitter_us)
+        if delay:
+            self.sim.after(delay, fn, *args)
         else:
-            delay = self.rng.randrange(self.flood_jitter_us)
-            if delay == 0:
-                fn()
-            else:
-                self.sim.after(delay, fn)
+            fn(*args)
 
     # -- hop-by-hop forwarding (DSDV, AODV) ---------------------------
 
@@ -187,8 +184,7 @@ class ReactiveProtocol(RoutingProtocol):
         if dest in self.pending:
             return
         self.originate_rreq(dest)
-        timer = self.sim.after(DISCOVERY_TIMEOUT_US,
-                               lambda: self._discovery_timeout(dest))
+        timer = self.sim.after(DISCOVERY_TIMEOUT_US, self._discovery_timeout, dest)
         self.pending[dest] = [0, timer]
 
     def _discovery_timeout(self, dest):
@@ -202,7 +198,7 @@ class ReactiveProtocol(RoutingProtocol):
             state[0] += 1
             self.originate_rreq(dest)
             state[1] = self.sim.after(DISCOVERY_TIMEOUT_US,
-                                      lambda: self._discovery_timeout(dest))
+                                      self._discovery_timeout, dest)
         else:
             del self.pending[dest]
             for _ in self.buffers.pop(dest, ()):

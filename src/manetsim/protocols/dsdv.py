@@ -66,10 +66,11 @@ UNRANKED = _rank(NO_ROUTE, NO_ROUTE)
 class RankArray:
     """The routes of a run's routers as two n×n arrays, the ranks and the
     next hops: row i is routers[i]._ranks and routers[i]._next_hops.  Built
-    by stacking the routers' own rows at the run's first update delivery."""
+    by stacking the routers' own rows at the run's first update delivery.
+    It keeps the routers' hold-downs, not the routers."""
 
     def __init__(self, routers):
-        self.routers = routers
+        self.settling = [router._settling for router in routers]
         self.ranks = np.stack([router._ranks for router in routers])
         self.next_hops = np.stack([router._next_hops for router in routers])
         for router, ranks, next_hops in zip(routers, self.ranks, self.next_hops):
@@ -84,13 +85,12 @@ class RankArray:
         prev_ranks = self.ranks[who, dests].tolist()
         self.ranks[who, dests] = ranks
         self.next_hops[who, dests] = origin
-        routers = self.routers
         changed = []
         for node, dest, rank, prev, prev_next in zip(
                 who.tolist(), dests.tolist(), ranks.tolist(), prev_ranks, prev_next_hops):
             hops, prev_hops = -rank % RANK_SEQ, -prev % RANK_SEQ     # as _decode
             now_valid, was_valid = _valid(rank), _valid(prev)
-            settling = routers[node]._settling
+            settling = self.settling[node]
             if was_valid and now_valid and hops > prev_hops and origin != prev_next:
                 settling[dest] = (prev_next, prev_hops, now + SETTLE_US)
             else:
@@ -175,7 +175,9 @@ class DsdvRouter(RoutingProtocol):
     def deliver_broadcast(cls, routers, mask, frame):
         """Compare an update (DSDV's only broadcast) with the ranks of all its
         receivers at once, each one's own destination left out, and hand
-        every winning (receiver, destination) pair to one handle_update."""
+        every winning (receiver, destination) pair to one handle_update;
+        then trigger the update of each receiver with a changed route, in
+        node order."""
         origin, dests, ranks = frame.payload
         network = routers[0]._network or RankArray(routers)
         bits = np.frombuffer(mask.to_bytes((len(routers) + 7) // 8, "little"), np.uint8)
@@ -187,17 +189,15 @@ class DsdvRouter(RoutingProtocol):
         wins &= dests != nodes[:, None]
         who, won = wins.nonzero()
         if len(won):
-            routers[origin].handle_update((origin, dests[won], ranks[won], nodes[who]))
+            changed = routers[origin].handle_update(
+                (origin, dests[won], ranks[won], nodes[who]))
+            for node in dict.fromkeys(node for node, _dest in changed):
+                routers[node]._trigger_update()
 
     def handle_update(self, msg):
         """Install the winning pairs of an update, msg = (origin, dests,
-        ranks, who), then trigger the update of each receiver with a changed
-        route, in node order; returns the changed (receiver, dest) pairs."""
-        network = self._network
-        changed = network.install(*msg, self.sim.now)
-        for node in dict.fromkeys(node for node, _dest in changed):
-            network.routers[node]._trigger_update()
-        return changed
+        ranks, who); returns the changed (receiver, dest) pairs."""
+        return self._network.install(*msg, self.sim.now)
 
     # -- link failure -------------------------------------------------
 

@@ -54,11 +54,12 @@ class RouteCache:
             self.paths.pop(0)
         self.paths.append(route)
 
-    def find(self, src, dest):
-        """Shortest cached path from src to dest (ties: oldest)."""
+    def find(self, dest):
+        """Shortest cached path to dest (ties: oldest).  Every path a router
+        caches starts at that router."""
         best = None
         for path in self.paths:
-            if path[0] == src and path[-1] == dest:
+            if path[-1] == dest:
                 if best is None or len(path) < len(best):
                     best = path
         return best
@@ -107,7 +108,7 @@ class DsrRouter(ReactiveProtocol):
 
     def route_lookup(self, dest):
         """The cached source route to dest, or None."""
-        return self.cache.find(self.node_id, dest)
+        return self.cache.find(dest)
 
     def _send(self, pkt, route):
         """Send pkt from its source along route."""
@@ -139,7 +140,7 @@ class DsrRouter(ReactiveProtocol):
             path = make_source_route(rreq.record + (self.node_id,))
             self._send_rrep(path, path.index(self.node_id))
             return
-        cached = self.cache.find(self.node_id, rreq.dest)
+        cached = self.cache.find(rreq.dest)
         if cached is not None:
             candidate = rreq.record + cached
             if len(set(candidate)) == len(candidate):
@@ -148,7 +149,7 @@ class DsrRouter(ReactiveProtocol):
                 return
         record = rreq.record + (self.node_id,)
         fwd = _Rreq(rreq.origin, rreq.request_id, rreq.dest, record, rreq.flood)
-        self._jittered(lambda: self._broadcast_rreq(fwd))
+        self._jittered(self._broadcast_rreq, fwd)
 
     def _send_rrep(self, path, my_index):
         """Send (or forward) a route reply, the full source route origin ..

@@ -72,7 +72,7 @@ class Radio:
         self.latency_us = latency_us
         self.retry_limit = retry_limit
         self.ideal = ideal
-        self.on_receive = None       # unicast delivery, fn(node_id, frame)
+        self.handlers = None         # unicast delivery, handlers[node_id](frame)
         self.on_broadcast = None     # broadcast delivery, fn(receiver_mask, frame)
         self.on_transmit = None      # accounting hook, fn(frame)
         self._link_break = {}        # node_id -> fn(dead_neighbor, frame)
@@ -200,20 +200,26 @@ class Radio:
     def register_link_break(self, node, callback):
         self._link_break[node] = callback
 
+    def disconnect(self):
+        """Drop the hooks into the routers, which point back at the radio."""
+        self.handlers = self.on_broadcast = None
+        self._link_break.clear()
+
     # -- transmission -------------------------------------------------
 
     def _transmit(self, src, frame, counter):
         """Put frame on the air from src: its airtime takes the next slot
         on src's FIFO queue (at once under the ideal MAC), the frame is
-        accounted for, and stats[counter] counts it.  Returns
-        the airtime as (start, end)."""
+        accounted for, and stats[counter] counts it.  Returns the airtime
+        as (start, end) and the reach mask of src now."""
         now = self.sim.now
+        airtime = self._airtimes.get(frame.size) or self.airtime_us(frame.size)
         start = now if self.ideal else max(now, self._busy_until[src])
-        end = self._busy_until[src] = start + self.airtime_us(frame.size)
+        end = self._busy_until[src] = start + airtime
         if self.on_transmit is not None:
             self.on_transmit(frame)
         self.stats[counter] += 1
-        return start, end
+        return start, end, self._reach(src, now)
 
     def _note_signals(self, start, end, mask):
         """Record an airtime interval heard at each receiver in mask; returns
@@ -244,14 +250,11 @@ class Radio:
         Broadcast has no acknowledgment and no retry: collided copies are
         simply lost at the affected receivers.
         """
-        sim = self.sim
-        start, end = self._transmit(src, frame, "tx_broadcast")
-        mask = self._reach(src, sim.now)
+        start, end, mask = self._transmit(src, frame, "tx_broadcast")
         if not mask:
             return 0
         tx = None if self.ideal else self._note_signals(start, end, mask)
-        sim.at(end + self.latency_us,
-               lambda: self._bcast_arrivals(src, mask, tx, frame))
+        self.sim.at(end + self.latency_us, self._bcast_arrivals, src, mask, tx, frame)
         return mask.bit_count()
 
     def _bcast_arrivals(self, src, mask, tx, frame):
@@ -271,42 +274,39 @@ class Radio:
             stats["rx_delivered"] += heard.bit_count()
             self.on_broadcast(heard, frame)
 
-    def unicast(self, src, dst, frame):
-        """Send to a specific next hop with MAC retries.
+    def unicast(self, src, dst, frame, tries_left=None):
+        """Send to a specific next hop, one attempt per call: by default the
+        first of 1 + retry_limit (of 1 under the ideal MAC).
 
-        After retry_limit failed attempts the registered link-failure
-        callback on src fires with (dst, frame).  Failure is a modeled
-        outcome, not an error.
+        After the last failed attempt the registered link-failure callback
+        on src fires with (dst, frame).  Failure is a modeled outcome, not
+        an error.
         """
-        tries = 1 if self.ideal else 1 + self.retry_limit
-        self._unicast_attempt(src, dst, frame, tries)
+        if tries_left is None:
+            tries_left = 1 if self.ideal else 1 + self.retry_limit
+        start, end, mask = self._transmit(src, frame, "tx_unicast")
+        in_range = mask >> dst & 1
+        # Heard, and interfering, at every node in range.
+        tx = self._note_signals(start, end, mask) if in_range and not self.ideal else None
+        self.sim.at(end + self.latency_us, self._resolve, src, dst, frame,
+                    tries_left, in_range, tx)
 
-    def _unicast_attempt(self, src, dst, frame, tries_left):
-        sim = self.sim
-        start, end = self._transmit(src, frame, "tx_unicast")
-        mask = self._reach(src, sim.now)
-        in_range_at_start = mask >> dst & 1
-        tx = None
-        if in_range_at_start and not self.ideal:
-            # Heard, and interfering, at every node in range.
-            tx = self._note_signals(start, end, mask)
-        arrive = end + self.latency_us
-
-        def resolve():
-            ok = in_range_at_start and self._reach(src, sim.now) >> dst & 1
-            if ok and tx is not None and tx.collided >> dst & 1:
-                ok = False
-                self.stats["rx_collision"] += 1
-            if ok:
-                self.stats["rx_delivered"] += 1
-                self.on_receive(dst, frame)
-            elif tries_left > 1:
-                self.stats["mac_retry"] += 1
-                self._unicast_attempt(src, dst, frame, tries_left - 1)
-            else:
-                self.stats["link_broken"] += 1
-                cb = self._link_break.get(src)
-                if cb is not None:
-                    cb(dst, frame)
-
-        sim.at(arrive, resolve)
+    def _resolve(self, src, dst, frame, tries_left, in_range, tx):
+        """The verdict of a unicast attempt at its arrival: delivered, or
+        retried, or the link reported broken."""
+        stats = self.stats
+        ok = in_range and self._reach(src, self.sim.now) >> dst & 1
+        if ok and tx is not None and tx.collided >> dst & 1:
+            ok = False
+            stats["rx_collision"] += 1
+        if ok:
+            stats["rx_delivered"] += 1
+            self.handlers[dst](frame)
+        elif tries_left > 1:
+            stats["mac_retry"] += 1
+            self.unicast(src, dst, frame, tries_left - 1)
+        else:
+            stats["link_broken"] += 1
+            cb = self._link_break.get(src)
+            if cb is not None:
+                cb(dst, frame)

@@ -1,7 +1,6 @@
 """Scenario assembly: build engine, mobility, radio, routers and traffic
 from a ScenarioConfig and run one simulation."""
 
-import gc
 import math
 import os
 from dataclasses import dataclass, fields
@@ -182,12 +181,6 @@ def run_scenario(config, trace_path=None, move_trace_path=None,
         raise ConfigInvalid([f"move_trace_interval must round to at least "
                              f"1 us, got {move_trace_interval} s"])
     trace = _simulate(config, mobility)
-    # A finished simulation is a web of reference cycles (routers, radio and
-    # engine point at each other, and pending events at all three), so only
-    # the cycle collector frees it; collect now, so that a sweep holds one
-    # run's state at a time.
-    gc.collect()
-
     windowed = trace.window(to_us(config.warmup), to_us(config.sim_time))
     record = summarize(windowed)
     for path in filter(None, (trace_path, move_trace_path)):
@@ -208,5 +201,12 @@ def _simulate(config, mobility):
     for router in routers:
         router.start()
     generator.start()
-    sim.run_until(to_us(config.sim_time + config.drain))
+    try:
+        sim.run_until(to_us(config.sim_time + config.drain))
+    finally:
+        # Routers, radio and engine point at each other, and pending events
+        # at all three: cut those cycles, so that reference counting frees
+        # the run at once and a sweep holds one run's state at a time.
+        sim.clear()
+        radio.disconnect()
     return trace

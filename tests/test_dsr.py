@@ -36,7 +36,7 @@ def test_cache_find_prefers_shortest_then_oldest():
     c.insert((0, 1, 2, 9))
     c.insert((0, 3, 9))
     c.insert((0, 4, 9))     # same length as (0,3,9) but newer
-    assert c.find(0, 9) == (0, 3, 9)
+    assert c.find(9) == (0, 3, 9)
 
 
 def test_cache_ignores_trivial_and_duplicate_paths():
@@ -65,7 +65,7 @@ def test_purge_link_removes_both_orientations():
 
 
 def test_missing_route_returns_none():
-    assert RouteCache().find(0, 9) is None
+    assert RouteCache().find(9) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,7 +89,7 @@ def test_chain_discovery_and_delivery(chain3):
     net.run(5)
     assert net.delivered(key)
     assert net.hops(key) == 2
-    assert net.routers[0].cache.find(0, 2) == (0, 1, 2)
+    assert net.routers[0].cache.find(2) == (0, 1, 2)
 
 
 def test_data_frames_carry_route_header(chain3):
@@ -108,8 +108,8 @@ def test_return_path_nodes_cache_suffixes(chain4):
     net.send(0, 3)
     net.run(5)
     # every node on the reply path learns its own suffix toward the dest
-    assert net.routers[1].cache.find(1, 3) == (1, 2, 3)
-    assert net.routers[2].cache.find(2, 3) == (2, 3)
+    assert net.routers[1].cache.find(3) == (1, 2, 3)
+    assert net.routers[2].cache.find(3) == (2, 3)
 
 
 def test_intermediate_cache_reply(chain4):
@@ -166,7 +166,7 @@ def test_broken_path_is_purged_and_survivor_takes_over():
     net.send(0, 3)
     net.run(5)
     r0 = net.routers[0]
-    used = r0.cache.find(0, 3)
+    used = r0.cache.find(3)
     via = used[1]
     other = 2 if via == 1 else 1
     r0.cache.insert((0, other, 3))   # alternate path, same length, newer
@@ -174,7 +174,7 @@ def test_broken_path_is_purged_and_survivor_takes_over():
     lost = net.send(0, 3)            # still routed over the broken path
     net.run(8)
     assert not net.delivered(lost)
-    assert r0.cache.find(0, 3) == (0, other, 3)
+    assert r0.cache.find(3) == (0, other, 3)
     key = net.send(0, 3)
     net.run(12)
     assert net.delivered(key)

@@ -57,6 +57,41 @@ def test_cancelled_event_does_not_fire():
     assert fired == ["yes"]
 
 
+def test_at_and_after_pass_their_arguments_in_order():
+    sim = Simulator()
+    calls = []
+
+    def record(*args):
+        calls.append((sim.now, args))
+
+    sim.at(10, record, 1, "b", None)
+    sim.at(20, lambda: sim.after(5, record, "c", 2))
+    sim.at(30, record)
+    sim.run_until(100)
+    assert calls == [(10, (1, "b", None)), (25, ("c", 2)), (30, ())]
+
+
+def test_cancelled_event_with_arguments_does_not_fire():
+    sim = Simulator()
+    fired = []
+    handle = sim.at(100, fired.append, "no")
+    sim.after(150, fired.append, "yes")
+    sim.cancel(handle)
+    assert sim.run_until(200) == 1
+    assert fired == ["yes"]
+
+
+def test_clear_cancels_and_drops_every_pending_event():
+    sim = Simulator()
+    fired = []
+    handle = sim.at(100, fired.append, "a")
+    sim.at(200, fired.append, "b")
+    sim.clear()
+    assert handle.payload is None
+    assert sim.run_until(300) == 0
+    assert fired == []
+
+
 def test_cancel_after_fire_changes_nothing():
     sim = Simulator()
     fired = []

@@ -1,9 +1,11 @@
 """Scenario config, sweep outputs and the command-line interface."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +16,8 @@ from manetsim.cli import load_config_file, main
 from manetsim.engine import SchedulingInPast
 from manetsim.metrics import read_trace_csv
 from manetsim.mobility import STATIC, FixedPositions
-from manetsim.scenario import ConfigInvalid, ScenarioConfig, run_scenario
+from manetsim.scenario import (MAC_MODES, PROTOCOL_NAMES, ConfigInvalid,
+                               ScenarioConfig, run_scenario)
 from manetsim.sweep import (SweepSpec, cell_mean, emit_plot_data,
                             read_raw_csv, run_sweep)
 
@@ -33,6 +36,9 @@ def test_validation_collects_all_errors():
                          n_flows=99, mac_mode="half-duplex")
     errors = cfg.validate()
     assert len(errors) >= 5
+    # The rules that setup_flows and init_positions rely on live here only.
+    assert any(e.startswith("node_count") for e in errors)
+    assert any(e.startswith("n_flows") for e in errors)
     with pytest.raises(ConfigInvalid):
         cfg.check()
 
@@ -133,6 +139,31 @@ def test_run_scenario_rejects_a_mobility_of_another_size(nodes):
         run_scenario(ScenarioConfig(**{**FAST, "node_count": 10}), mobility=mobility)
     assert f"moves {nodes} nodes" in str(err.value)
     assert "node_count is 10" in str(err.value)
+
+
+@pytest.mark.parametrize("protocol, mac_mode", list(product(PROTOCOL_NAMES, MAC_MODES)))
+def test_finished_run_leaves_no_reference_cycle(protocol, mac_mode):
+    """Reference counting alone frees a finished run: no collection by the
+    cycle collector, inside run_scenario or after it, finds garbage."""
+    collected = []
+
+    def on_gc(phase, info):
+        if phase == "stop":
+            collected.append(info["collected"])
+
+    config = ScenarioConfig(protocol=protocol, mac_mode=mac_mode, node_count=20,
+                            n_flows=4, sim_time=20.0, warmup=5.0, seed=1,
+                            pause_time=0.0)
+    gc.collect()
+    gc.disable()
+    gc.callbacks.append(on_gc)
+    try:
+        run_scenario(config)
+        assert gc.collect() == 0
+    finally:
+        gc.callbacks.remove(on_gc)
+        gc.enable()
+    assert not any(collected)
 
 
 def test_different_seeds_differ():

@@ -2,13 +2,11 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from manetsim.engine import RngStream
-from manetsim.mobility import (STATIC, FixedPositions, InvalidNodeCount,
-                               RandomWaypoint, init_positions,
-                               write_movement_trace)
+from manetsim.mobility import (STATIC, FixedPositions, RandomWaypoint,
+                               init_positions, write_movement_trace)
 from manetsim.scenario import ScenarioConfig, build_mobility
 
 US = 1_000_000
@@ -21,12 +19,6 @@ def test_init_positions_within_area():
     for x, y in pos:
         assert 0.0 <= x <= 500.0
         assert 0.0 <= y <= 300.0
-
-
-def test_init_positions_rejects_empty():
-    rng = RngStream(1, "mobility:init")
-    with pytest.raises(InvalidNodeCount):
-        init_positions(0, rng, 500.0, 500.0)
 
 
 def test_same_seed_same_trajectories():

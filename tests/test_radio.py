@@ -27,7 +27,8 @@ def make_radio(positions, ideal=False, retry_limit=3):
     radio = radio_for(sim, FixedPositions(positions), ideal=ideal,
                       retry_limit=retry_limit)
     inbox = []
-    radio.on_receive = lambda node, frame: inbox.append((sim.now, node, frame))
+    radio.handlers = [lambda frame, node=node: inbox.append((sim.now, node, frame))
+                      for node in range(len(positions))]
     radio.on_broadcast = lambda mask, frame: inbox.extend(
         (sim.now, node, frame) for node in nodes(mask))
     return sim, radio, inbox

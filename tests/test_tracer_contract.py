@@ -6,8 +6,9 @@ and ``run_until``, the mobility queries, and the entry points of the radio,
 the routers, traffic, metrics and the scenario.  A change in ``src/`` that
 renames one of them, or schedules an event around ``schedule``, leaves a
 layer out of the benchmark's per-layer metrics without failing anything
-else.  This test runs the tracer, unedited, around one short realistic-MAC
-scenario per protocol.
+else.  This test runs the tracer, unedited, around one short scenario per
+protocol and MAC: a mobile one under the realistic MAC, and a static one
+under the ideal MAC, which has no rebroadcast jitter.
 """
 
 import sys
@@ -17,6 +18,7 @@ import pytest
 
 from manetsim import scenario
 from manetsim.engine import Simulator
+from manetsim.mobility import STATIC
 from manetsim.scenario import ScenarioConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
@@ -25,8 +27,14 @@ try:
 finally:
     sys.path.pop(0)
 
-CONFIG = dict(node_count=20, n_flows=4, sim_time=20.0, warmup=5.0, seed=1,
-              pause_time=0.0, mac_mode="realistic")
+CONFIGS = {
+    "realistic": dict(node_count=20, n_flows=4, sim_time=20.0, warmup=5.0, seed=1,
+                      pause_time=0.0, mac_mode="realistic"),
+    # Sparse enough that some discoveries fail and their timers fire.
+    "ideal": dict(node_count=20, n_flows=4, sim_time=20.0, warmup=5.0, seed=1,
+                  pause_time=STATIC, mac_mode="ideal", area_width=1000.0,
+                  area_height=1000.0),
+}
 
 
 def _patch_targets():
@@ -41,8 +49,9 @@ def _patch_targets():
     return {(owner, name): vars(owner).get(name) for owner, name in targets}
 
 
+@pytest.mark.parametrize("mac_mode", list(CONFIGS))
 @pytest.mark.parametrize("protocol", ["DSDV", "AODV", "DSR"])
-def test_tracer_sees_every_layer(protocol, monkeypatch):
+def test_tracer_sees_every_layer(protocol, mac_mode, monkeypatch):
     returned = []
     run_until = Simulator.run_until
 
@@ -55,14 +64,14 @@ def test_tracer_sees_every_layer(protocol, monkeypatch):
     before = _patch_targets()
     t = tracer.Tracer()
     with t.installed():
-        scenario.run_scenario(ScenarioConfig(protocol=protocol, **CONFIG))
+        scenario.run_scenario(ScenarioConfig(protocol=protocol, **CONFIGS[mac_mode]))
 
     for span in ("engine.schedule", "radio.event", "traffic.event",
                  f"{protocol.lower()}.event", "mobility.positions_xy"):
         assert t.span_count(span) > 0, span
     assert len(returned) == 1 and returned[0] > 0
     assert t.counts["events"] == returned[0]
-    if protocol == "DSDV":
+    if protocol == "DSDV" and mac_mode == "realistic":
         # Every winning (receiver, destination) pair of every update reaches
         # handle_update, and it returns every changed one: this scenario's
         # exact counts, which the per-layer table reports.

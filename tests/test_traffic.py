@@ -1,12 +1,10 @@
 """CBR flow setup and generation timing."""
 
-import pytest
-
 from manetsim.engine import RngStream, Simulator
 from manetsim.metrics import PacketTrace
 from manetsim.scenario import ScenarioConfig
-from manetsim.traffic import (START_STAGGER_S, AppPacket, Flow, TooManyFlows,
-                              TrafficGenerator, setup_flows)
+from manetsim.traffic import (START_STAGGER_S, AppPacket, Flow, TrafficGenerator,
+                              setup_flows)
 
 US = 1_000_000
 
@@ -29,14 +27,6 @@ def test_setup_flows_deterministic_per_seed():
     b = setup_flows(5, range(20), RngStream(3, "traffic"), **CBR)
     assert [(f.src, f.dst, f.start_us) for f in a] == \
            [(f.src, f.dst, f.start_us) for f in b]
-
-
-def test_setup_flows_rejects_too_many():
-    rng = RngStream(1, "traffic")
-    with pytest.raises(TooManyFlows):
-        setup_flows(11, range(20), rng, **CBR)
-    with pytest.raises(TooManyFlows):
-        setup_flows(0, range(20), rng, **CBR)
 
 
 def test_flow_starts_are_staggered_within_window():
