@@ -49,8 +49,10 @@ def _patch_targets():
     return {(owner, name): vars(owner).get(name) for owner, name in targets}
 
 
-@pytest.mark.parametrize("mac_mode", list(CONFIGS))
-@pytest.mark.parametrize("protocol", ["DSDV", "AODV", "DSR"])
+@pytest.mark.parametrize("protocol, mac_mode", [
+    pytest.param(protocol, mac_mode,
+                 id=protocol if mac_mode == "realistic" else f"{protocol}-{mac_mode}")
+    for mac_mode in CONFIGS for protocol in ("DSDV", "AODV", "DSR")])
 def test_tracer_sees_every_layer(protocol, mac_mode, monkeypatch):
     returned = []
     run_until = Simulator.run_until
