@@ -134,8 +134,6 @@ class AodvRouter(ReactiveProtocol):
         return rreq
 
     def handle_rreq(self, rreq, prev_hop):
-        if not rreq.flood.first_visit(self.node_id):
-            return
         self._install(rreq.origin, prev_hop, rreq.hop_count + 1, rreq.origin_seq)
         self._release(rreq.origin)
         if rreq.dest == self.node_id:

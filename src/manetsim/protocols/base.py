@@ -26,18 +26,13 @@ DATA = "data"
 class Flood:
     """The nodes that have handled one route request, as a bit mask that
     every copy of the request carries: duplicate detection (RFC 3561 6.5,
-    RFC 4728 3.3.2) without per-node state."""
+    RFC 4728 3.3.2) without per-node state.  Only the origin and
+    ``ReactiveProtocol.deliver_broadcast`` set bits of ``seen``."""
 
     __slots__ = ("seen",)
 
     def __init__(self, origin):
         self.seen = 1 << origin
-
-    def first_visit(self, node):
-        """Mark node as having handled the request; False if it already had."""
-        seen = self.seen
-        self.seen = seen | 1 << node
-        return not seen >> node & 1
 
 
 def receivers(mask):
@@ -151,9 +146,14 @@ class ReactiveProtocol(RoutingProtocol):
 
     @classmethod
     def deliver_broadcast(cls, routers, mask, frame):
+        """Hand a broadcast frame to the routers in mask, in node order.  A
+        route request reaches only the nodes not yet in its flood's
+        ``seen``, which are marked before any of them handles it: the one
+        place where a node handles a request at most once."""
         if frame.kind == cls.rreq_kind:
-            # Nodes that already handled this request drop the copy unseen.
-            mask &= ~frame.payload.flood.seen
+            flood = frame.payload.flood
+            mask &= ~flood.seen
+            flood.seen |= mask
         super().deliver_broadcast(routers, mask, frame)
 
     def route_lookup(self, dest):

@@ -24,18 +24,6 @@ RREP = "dsr-rrep"
 RERR = "dsr-rerr"
 
 
-class MalformedRoute(Exception):
-    pass
-
-
-def make_source_route(hops):
-    """Validate and freeze a node-address path; loop-free by construction."""
-    route = tuple(hops)
-    if len(set(route)) != len(route):
-        raise MalformedRoute(f"repeated node in source route {route}")
-    return route
-
-
 def data_header_bytes(route):
     return DATA_HEADER_BASE_BYTES + DATA_HEADER_PER_HOP_BYTES * len(route)
 
@@ -134,18 +122,18 @@ class DsrRouter(ReactiveProtocol):
                         RREQ, rreq)
 
     def handle_rreq(self, rreq):
-        if not rreq.flood.first_visit(self.node_id):
-            return
+        """Reply as the destination or from the cache, else rebroadcast.
+        The record holds only nodes of the request's flood, and delivery
+        hands the request only to nodes outside it, so the destination's
+        reply path is loop-free; a reply from the cache needs the one check."""
         if rreq.dest == self.node_id:
-            path = make_source_route(rreq.record + (self.node_id,))
-            self._send_rrep(path, path.index(self.node_id))
+            self._send_rrep(rreq.record + (self.node_id,), len(rreq.record))
             return
         cached = self.cache.find(rreq.dest)
         if cached is not None:
-            candidate = rreq.record + cached
-            if len(set(candidate)) == len(candidate):
-                path = make_source_route(candidate)
-                self._send_rrep(path, path.index(self.node_id))
+            path = rreq.record + cached
+            if len(set(path)) == len(path):
+                self._send_rrep(path, len(rreq.record))
                 return
         record = rreq.record + (self.node_id,)
         fwd = _Rreq(rreq.origin, rreq.request_id, rreq.dest, record, rreq.flood)
@@ -178,11 +166,7 @@ class DsrRouter(ReactiveProtocol):
     # -- source-routed forwarding -------------------------------------
 
     def forward_source_routed(self, pkt):
-        route = pkt.route
-        if pkt.idx >= len(route) or route[pkt.idx] != self.node_id:
-            self.drop("malformed_route")
-            return
-        if self.node_id == route[-1]:
+        if self.node_id == pkt.route[-1]:
             self.deliver(pkt)
             return
         pkt.idx += 1

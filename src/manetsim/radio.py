@@ -245,17 +245,15 @@ class Radio:
         return tx
 
     def broadcast(self, src, frame):
-        """Send to every current neighbor; returns the recipient count.
+        """Send to every current neighbor.
 
         Broadcast has no acknowledgment and no retry: collided copies are
         simply lost at the affected receivers.
         """
         start, end, mask = self._transmit(src, frame, "tx_broadcast")
-        if not mask:
-            return 0
-        tx = None if self.ideal else self._note_signals(start, end, mask)
-        self.sim.at(end + self.latency_us, self._bcast_arrivals, src, mask, tx, frame)
-        return mask.bit_count()
+        if mask:
+            tx = None if self.ideal else self._note_signals(start, end, mask)
+            self.sim.at(end + self.latency_us, self._bcast_arrivals, src, mask, tx, frame)
 
     def _bcast_arrivals(self, src, mask, tx, frame):
         # Every verdict is taken before the delivery: a receive cannot flag

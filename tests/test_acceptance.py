@@ -18,10 +18,10 @@ from manetsim.engine import RngStream, to_us
 from manetsim.metrics import (NoTraffic, PacketTrace, compute_avg_delay,
                               compute_pdr, compute_throughput, summarize)
 from manetsim.mobility import STATIC, FixedPositions
-from manetsim.protocols import make_router
+from manetsim.protocols import aodv, dsr, make_router
 from manetsim.protocols.aodv import AodvEntry, Rreq
+from manetsim.protocols.base import Flood
 from manetsim.protocols.dsdv import UPDATE, DsdvRouter, _decode, _rank
-from manetsim.protocols.dsr import MalformedRoute, make_source_route
 from manetsim.radio import Frame
 from manetsim.scenario import ScenarioConfig, build_simulation
 from manetsim.sweep import SweepSpec, cell_mean, run_sweep
@@ -182,9 +182,11 @@ def test_criterion_3_aodv_gate(capsys):
                   and net.sim.now < entry.expires_at
                   and entry.dest_seq is not None
                   and (known is None or entry.dest_seq >= known))
+        net.routers[1] = router
+        frame = Frame(0, aodv.RREQ_BYTES, aodv.RREQ, rreq)
         before = len(log)
-        router.handle_rreq(rreq, prev_hop=0)
-        router.handle_rreq(rreq, prev_hop=0)   # duplicate arrival
+        aodv.AodvRouter.deliver_broadcast(net.routers, 0b010, frame)
+        aodv.AodvRouter.deliver_broadcast(net.routers, 0b010, frame)  # duplicate
         emitted = log[before:]
         kinds = [k for k, _ in emitted]
         if usable:
@@ -217,24 +219,40 @@ def test_criterion_4_dsr_purge_and_routes(capsys):
             for a, b in zip(path, path[1:]):
                 stale += {a, b} == {2, 3}
 
-    # Random construct/concat operations must never yield a looping route.
+    # A request whose record and flood come from random draws reaches a
+    # fresh router at the head of a cached path: the router is skipped if
+    # the request has seen it, replies with record + cached if that path is
+    # loop-free, and rebroadcasts otherwise.
     rng = random.Random(99)
     pool = list(range(20))
+    net = Net([(10 * node, 0) for node in pool], protocol="DSR")
+    log = []
+    net.radio.on_transmit = lambda fr: log.append(
+        (fr.kind, fr.payload.record if fr.kind == dsr.RREQ else fr.payload))
     bad = 0
     for _ in range(100_000):
-        record = rng.sample(pool, rng.randrange(1, 7))
-        cached = rng.sample(pool, rng.randrange(2, 7))
-        candidate = tuple(record) + tuple(cached)
-        duplicate_free = len(set(candidate)) == len(candidate)
-        try:
-            route = make_source_route(candidate)
-        except MalformedRoute:
-            bad += duplicate_free       # guard rejected a clean route
+        record = tuple(rng.sample(pool, rng.randrange(1, 7)))
+        cached = tuple(rng.sample(pool, rng.randrange(2, 7)))
+        node = cached[0]
+        router = make_router("DSR", node, net.sim, net.radio, net.trace,
+                             net.routers[node].rng)
+        router.cache.insert(cached)
+        net.routers[node] = router
+        flood = Flood(record[0])
+        flood.seen = sum(1 << hop for hop in record)
+        rreq = dsr._Rreq(record[0], 1, cached[-1], record, flood)
+        log.clear()
+        dsr.DsrRouter.deliver_broadcast(net.routers, 1 << node,
+                                        Frame(record[-1], 0, dsr.RREQ, rreq))
+        net.sim.clear()     # the reply or rebroadcast goes no further
+        path = record + cached
+        if node in record:
+            expected = []
+        elif len(set(path)) == len(path):
+            expected = [(dsr.RREP, path)]
         else:
-            # constructed routes must be frozen and loop-free
-            bad += (not duplicate_free
-                    or len(set(route)) != len(route)
-                    or route != candidate)
+            expected = [(dsr.RREQ, record + (node,))]
+        bad += log != expected
     report(capsys, "criterion 4: DSR cache purge + route integrity",
            stale == 0 and bad == 0, f" stale-links={stale} bad-routes={bad}")
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from manetsim.protocols.aodv import (ACTIVE_ROUTE_TIMEOUT_US, RREQ_BYTES,
-                                     Rreq, _fresher)
+from manetsim.protocols.aodv import (ACTIVE_ROUTE_TIMEOUT_US, RREQ, RREQ_BYTES,
+                                     AodvRouter, Rreq, _fresher)
+from manetsim.radio import Frame
 
 from conftest import Net
 
@@ -110,12 +111,13 @@ def test_originate_rreq_bumps_ids_and_own_seq():
 def test_rreq_is_never_rebroadcast_twice():
     net = Net([(0, 0), (100, 0), (200, 0)])
     log = control_log(net)
-    r = net.routers[1]
     rreq = Rreq(origin=0, rreq_id=7, dest=9, dest_seq_known=None, origin_seq=3)
-    r.handle_rreq(rreq, prev_hop=0)
-    r.handle_rreq(rreq, prev_hop=0)  # duplicate: silently dropped
-    forwards = [entry for entry in log if entry[1] == "aodv-rreq"]
-    assert len(forwards) == 1
+    frame = Frame(0, RREQ_BYTES, RREQ, rreq)
+    AodvRouter.deliver_broadcast(net.routers, 0b010, frame)
+    AodvRouter.deliver_broadcast(net.routers, 0b010, frame)  # duplicate: dropped
+    forwards = [entry for entry in log if entry[1] == RREQ]
+    assert forwards == [(1, RREQ, RREQ_BYTES)]
+    assert rreq.flood.seen == 0b011
 
 
 def test_rreq_installs_reverse_route_to_origin():

@@ -2,11 +2,9 @@
 
 from itertools import permutations
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from manetsim.protocols.dsr import (CACHE_CAPACITY, MalformedRoute, RouteCache,
-                                    data_header_bytes, make_source_route)
+from manetsim.protocols.dsr import CACHE_CAPACITY, RouteCache, data_header_bytes
 
 from conftest import Net
 
@@ -14,15 +12,6 @@ US = 1_000_000
 
 
 # -- source routes ------------------------------------------------------
-
-def test_make_source_route_freezes_path():
-    assert make_source_route([1, 2, 3]) == (1, 2, 3)
-
-
-def test_make_source_route_rejects_duplicates():
-    with pytest.raises(MalformedRoute):
-        make_source_route([1, 2, 1])
-
 
 def test_data_header_grows_with_route_length():
     assert data_header_bytes((0, 1)) == 24
@@ -130,16 +119,6 @@ def test_unreachable_destination_gives_up():
     net.run(10)
     assert not net.delivered(key)
     assert net.trace.drops["dsr:no_route_ever"] == 1
-
-
-def test_malformed_route_is_dropped(chain3):
-    from manetsim.traffic import AppPacket
-    net = chain3(protocol="DSR")
-    pkt = AppPacket(0, 0, 512, 2)
-    pkt.route = (0, 1, 2)
-    pkt.idx = 2             # claims node 2 should forward, but node 1 got it
-    net.routers[1].forward_source_routed(pkt)
-    assert net.trace.drops["dsr:malformed_route"] == 1
 
 
 # -- route errors -------------------------------------------------------

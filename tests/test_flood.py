@@ -1,12 +1,14 @@
-"""Route-request floods of AODV and DSR: duplicate copies are dropped by the
-flood's seen mask before any router handles them.  Rebroadcasts are
-jittered only under the realistic MAC."""
+"""Route-request floods of AODV and DSR: delivery drops the copies for nodes
+in the flood's seen mask and marks the rest before any router handles them.
+Rebroadcasts are jittered only under the realistic MAC."""
 
 import pytest
 
+from manetsim.protocols import PROTOCOLS
 from manetsim.protocols.base import FLOOD_JITTER_US, Flood
 from manetsim.protocols.dsr import RERR, RREQ, _Rreq
 from manetsim.radio import Frame
+from manetsim.scenario import ScenarioConfig, run_scenario
 
 from conftest import Net
 
@@ -84,14 +86,48 @@ def test_deliver_broadcast_skips_seen_nodes_of_a_request_only():
     for router in net.routers:
         router.handle_frame = lambda frame, node=router.node_id: got.append(node)
     flood = Flood(0)
-    flood.first_visit(2)
+    flood.seen |= 1 << 2
     rreq = Frame(0, 16, RREQ, _Rreq(0, 1, 4, (0,), flood))
     net.routers[0].deliver_broadcast(net.routers, 0b11111, rreq)
     assert got == [1, 3, 4]
+    assert flood.seen == 0b11111
     got.clear()
     rerr = Frame(0, 16, RERR, rreq.payload)
     net.routers[0].deliver_broadcast(net.routers, 0b11111, rerr)
     assert got == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("protocol", ["AODV", "DSR"])
+def test_a_run_hands_each_request_once_to_each_node_it_reaches(protocol, monkeypatch):
+    """In a mobile run under the realistic MAC, a router handles a request
+    only when a delivery's receiver mask holds it, and each flood at most
+    once."""
+    cls = PROTOCOLS[protocol]
+    delivered = [0]             # receiver mask of the delivery under way
+    # id(flood) -> (flood, nodes that handled it); holding the flood keeps
+    # its id from being reused.
+    handled = {}
+    deliver_broadcast = cls.deliver_broadcast.__func__
+    handle_rreq = cls.handle_rreq
+
+    def delivering(cls, routers, mask, frame):
+        delivered[0] = mask
+        deliver_broadcast(cls, routers, mask, frame)
+        delivered[0] = 0
+
+    def handling(self, rreq, *args):
+        # Checked at once: without duplicate suppression a flood never ends.
+        nodes = handled.setdefault(id(rreq.flood), (rreq.flood, set()))[1]
+        assert self.node_id not in nodes
+        assert delivered[0] >> self.node_id & 1
+        nodes.add(self.node_id)
+        handle_rreq(self, rreq, *args)
+
+    monkeypatch.setattr(cls, "deliver_broadcast", classmethod(delivering))
+    monkeypatch.setattr(cls, "handle_rreq", handling)
+    run_scenario(ScenarioConfig(protocol=protocol, node_count=20, n_flows=10,
+                                sim_time=30.0, warmup=5.0, seed=1, pause_time=0.0))
+    assert handled
 
 
 def per_node_state(router):

@@ -248,9 +248,8 @@ def test_reach_masks_match_brute_force_fixed_positions_and_moves(positions, move
 
 def test_broadcast_reaches_only_nodes_in_range():
     sim, radio, inbox = make_radio([(0, 0), (100, 0), (600, 0)], ideal=True)
-    count = radio.broadcast(0, frame(0))
+    radio.broadcast(0, frame(0))
     sim.run_until(US)
-    assert count == 1
     assert [(node) for _, node, _ in inbox] == [1]
 
 
