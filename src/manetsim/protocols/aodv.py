@@ -19,13 +19,9 @@ RREQ = "aodv-rreq"
 RREP = "aodv-rrep"
 RERR = "aodv-rerr"
 
-UNKNOWN = None  # dest_seq_known sentinel, treated as lower than any number
-
-
-def _fresher(seq, than):
-    if seq is None:
-        return False
-    return than is None or seq > than
+# The dest_seq_known of a request for a destination with no entry (RFC
+# 3561's U flag): below every sequence number, and those start at 0.
+UNKNOWN = -1
 
 
 class AodvEntry:
@@ -45,13 +41,12 @@ class AodvEntry:
 
 
 class Rreq:
-    __slots__ = ("origin", "rreq_id", "dest", "dest_seq_known", "origin_seq",
-                 "hop_count", "flood")
+    __slots__ = ("origin", "dest", "dest_seq_known", "origin_seq", "hop_count",
+                 "flood")
 
-    def __init__(self, origin, rreq_id, dest, dest_seq_known, origin_seq,
-                 hop_count=0, flood=None):
+    def __init__(self, origin, dest, dest_seq_known, origin_seq, hop_count=0,
+                 flood=None):
         self.origin = origin
-        self.rreq_id = rreq_id
         self.dest = dest
         self.dest_seq_known = dest_seq_known
         self.origin_seq = origin_seq
@@ -76,7 +71,6 @@ class AodvRouter(ReactiveProtocol):
     def __init__(self, node_id, sim, radio, trace, rng):
         super().__init__(node_id, sim, radio, trace, rng)
         self.own_seq = 0
-        self.rreq_id = 0
         self.table = {}          # dest -> AodvEntry
 
     # -- table maintenance --------------------------------------------
@@ -87,22 +81,19 @@ class AodvRouter(ReactiveProtocol):
         cur = self.table.get(dest)
         if cur is not None:
             if cur.usable(self.sim.now):
-                if not (_fresher(dest_seq, cur.dest_seq)
+                if not (dest_seq > cur.dest_seq
                         or dest_seq == cur.dest_seq and hops < cur.hops):
                     return False
-            else:
+            elif dest_seq < cur.dest_seq:
                 # A broken route is replaced only by one at least as fresh.
-                if cur.dest_seq is not None and dest_seq is not None \
-                        and dest_seq < cur.dest_seq:
-                    return False
+                return False
         expires = self.sim.now + ACTIVE_ROUTE_TIMEOUT_US
         if cur is None:
             self.table[dest] = AodvEntry(dest, next_hop, hops, dest_seq, expires)
         else:
             cur.next_hop = next_hop
             cur.hops = hops
-            if dest_seq is not None:
-                cur.dest_seq = dest_seq
+            cur.dest_seq = dest_seq
             cur.expires_at = expires
             cur.valid = True
         return True
@@ -112,10 +103,9 @@ class AodvRouter(ReactiveProtocol):
         if dest == self.node_id:
             return self.node_id
         entry = self.table.get(dest)
-        now = self.sim.now
-        if entry is None or not entry.valid or now >= entry.expires_at:
+        if entry is None or not entry.usable(self.sim.now):
             return None
-        entry.expires_at = now + ACTIVE_ROUTE_TIMEOUT_US
+        entry.expires_at = self.sim.now + ACTIVE_ROUTE_TIMEOUT_US
         return entry.next_hop
 
     def _send(self, pkt, next_hop):
@@ -125,11 +115,10 @@ class AodvRouter(ReactiveProtocol):
     # -- discovery ----------------------------------------------------
 
     def originate_rreq(self, dest):
-        self.rreq_id += 1
         self.own_seq += 1
         entry = self.table.get(dest)
         known = entry.dest_seq if entry is not None else UNKNOWN
-        rreq = Rreq(self.node_id, self.rreq_id, dest, known, self.own_seq)
+        rreq = Rreq(self.node_id, dest, known, self.own_seq)
         self._broadcast(RREQ_BYTES, RREQ, rreq)
         return rreq
 
@@ -137,28 +126,24 @@ class AodvRouter(ReactiveProtocol):
         self._install(rreq.origin, prev_hop, rreq.hop_count + 1, rreq.origin_seq)
         self._release(rreq.origin)
         if rreq.dest == self.node_id:
-            if rreq.dest_seq_known is not None:
-                self.own_seq = max(self.own_seq, rreq.dest_seq_known)
+            self.own_seq = max(self.own_seq, rreq.dest_seq_known)
             reply = Rrep(self.node_id, self.own_seq, 0, rreq.origin)
             self._unicast(prev_hop, RREP_BYTES, RREP, reply)
             return
         entry = self.table.get(rreq.dest)
         if entry is not None and entry.usable(self.sim.now) \
-                and entry.dest_seq is not None \
-                and (rreq.dest_seq_known is None
-                     or entry.dest_seq >= rreq.dest_seq_known):
+                and entry.dest_seq >= rreq.dest_seq_known:
             reply = Rrep(rreq.dest, entry.dest_seq, entry.hops, rreq.origin)
             self._unicast(prev_hop, RREP_BYTES, RREP, reply)
             return
-        fwd = Rreq(rreq.origin, rreq.rreq_id, rreq.dest, rreq.dest_seq_known,
-                   rreq.origin_seq, rreq.hop_count + 1, rreq.flood)
+        fwd = Rreq(rreq.origin, rreq.dest, rreq.dest_seq_known, rreq.origin_seq,
+                   rreq.hop_count + 1, rreq.flood)
         self._jittered(self._broadcast, RREQ_BYTES, RREQ, fwd)
 
     def handle_rrep(self, rrep, prev_hop):
         installed = self._install(rrep.dest, prev_hop, rrep.hop_count + 1,
                                   rrep.dest_seq)
         if rrep.origin == self.node_id:
-            self._stop_discovery(rrep.dest)
             self._release(rrep.dest)
             return
         if not installed:
@@ -185,10 +170,7 @@ class AodvRouter(ReactiveProtocol):
         for entry in self.table.values():
             if entry.valid and entry.next_hop == dead_neighbor:
                 entry.valid = False
-                if entry.dest_seq is not None:
-                    entry.dest_seq += 1
-                else:
-                    entry.dest_seq = 1
+                entry.dest_seq += 1
                 unreachable.append((entry.dest, entry.dest_seq))
         self._broadcast_rerr(unreachable)
 
@@ -198,9 +180,7 @@ class AodvRouter(ReactiveProtocol):
             entry = self.table.get(dest)
             if entry is not None and entry.valid and entry.next_hop == prev_hop:
                 entry.valid = False
-                if seq is not None and (entry.dest_seq is None
-                                        or seq > entry.dest_seq):
-                    entry.dest_seq = seq
+                entry.dest_seq = max(entry.dest_seq, seq)
                 affected.append((dest, entry.dest_seq))
         self._broadcast_rerr(affected)
 

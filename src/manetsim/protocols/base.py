@@ -132,17 +132,20 @@ class ReactiveProtocol(RoutingProtocol):
     A packet goes out at once over a known route.  Otherwise it waits in a
     bounded buffer while a route request floods; an unanswered request is
     repeated every DISCOVERY_TIMEOUT_US, up to RREQ_RETRIES times, and then
-    the buffered packets are dropped.  When a route becomes known,
-    ``_release`` sends what waits and ends the discovery.  Subclasses supply
-    ``route_lookup(dest)``, the route to dest or None, ``_send(pkt, route)``
-    over that route, ``originate_rreq(dest)`` and ``rreq_kind``, the frame
-    kind of a route request, whose payload carries its ``Flood``.
+    the buffered packets are dropped.  ``pending`` maps each destination
+    under discovery to the timer of its current attempt, which carries the
+    attempt number.  A discovery succeeds only through ``_release``: once a
+    route is known, it sends what waits, cancels the timer and ends the
+    discovery.  Subclasses supply ``route_lookup(dest)``, the route to dest
+    or None, ``_send(pkt, route)`` over that route, ``originate_rreq(dest)``
+    and ``rreq_kind``, the frame kind of a route request, whose payload
+    carries its ``Flood``.
     """
 
     def __init__(self, node_id, sim, radio, trace, rng):
         super().__init__(node_id, sim, radio, trace, rng)
         self.buffers = {}        # dest -> deque of AppPacket
-        self.pending = {}        # dest -> [attempts_done, timer_handle]
+        self.pending = {}        # dest -> timer of the discovery's attempt
 
     @classmethod
     def deliver_broadcast(cls, routers, mask, frame):
@@ -181,34 +184,24 @@ class ReactiveProtocol(RoutingProtocol):
         buf.append(pkt)
 
     def _start_discovery(self, dest):
-        if dest in self.pending:
-            return
-        self.originate_rreq(dest)
-        timer = self.sim.after(DISCOVERY_TIMEOUT_US, self._discovery_timeout, dest)
-        self.pending[dest] = [0, timer]
+        if dest not in self.pending:
+            self._discover(dest, 0)
 
-    def _discovery_timeout(self, dest):
-        state = self.pending.get(dest)
-        if state is None:
-            return
+    def _discover(self, dest, attempt):
+        """Flood a request for dest; its timer retries or gives up."""
+        self.originate_rreq(dest)
+        self.pending[dest] = self.sim.after(DISCOVERY_TIMEOUT_US,
+                                            self._discovery_timeout, dest, attempt)
+
+    def _discovery_timeout(self, dest, attempt):
         if self.route_lookup(dest) is not None:
             del self.pending[dest]
-            return
-        if state[0] < RREQ_RETRIES:
-            state[0] += 1
-            self.originate_rreq(dest)
-            state[1] = self.sim.after(DISCOVERY_TIMEOUT_US,
-                                      self._discovery_timeout, dest)
+        elif attempt < RREQ_RETRIES:
+            self._discover(dest, attempt + 1)
         else:
             del self.pending[dest]
             for _ in self.buffers.pop(dest, ()):
                 self.drop("no_route_ever")
-
-    def _stop_discovery(self, dest):
-        """A route arrived: forget the discovery and cancel its timer."""
-        state = self.pending.pop(dest, None)
-        if state is not None:
-            self.sim.cancel(state[1])
 
     def _release(self, dest):
         """Send the packets waiting for dest and end its discovery, if a
@@ -222,7 +215,9 @@ class ReactiveProtocol(RoutingProtocol):
         if route is None:
             return False
         del self.buffers[dest]
-        self._stop_discovery(dest)
+        timer = self.pending.pop(dest, None)
+        if timer is not None:
+            self.sim.cancel(timer)
         for pkt in buffered:
             self._send(pkt, route)
         return True

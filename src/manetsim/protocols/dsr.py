@@ -64,13 +64,14 @@ class RouteCache:
 
 
 class _Rreq:
-    __slots__ = ("origin", "request_id", "dest", "record", "flood")
+    """A route request for dest: the record of the nodes it has traversed,
+    whose first node is its origin, and the ``Flood`` its copies share."""
 
-    def __init__(self, origin, request_id, dest, record, flood):
-        self.origin = origin
-        self.request_id = request_id
+    __slots__ = ("dest", "record", "flood")
+
+    def __init__(self, dest, record, flood):
         self.dest = dest
-        self.record = record  # tuple of traversed nodes, origin first
+        self.record = record
         self.flood = flood
 
 
@@ -90,7 +91,6 @@ class DsrRouter(ReactiveProtocol):
     def __init__(self, node_id, sim, radio, trace, rng):
         super().__init__(node_id, sim, radio, trace, rng)
         self.cache = RouteCache()
-        self.request_id = 0
 
     # -- sending ------------------------------------------------------
 
@@ -113,9 +113,7 @@ class DsrRouter(ReactiveProtocol):
     # -- discovery ----------------------------------------------------
 
     def originate_rreq(self, dest):
-        self.request_id += 1
-        self._broadcast_rreq(_Rreq(self.node_id, self.request_id, dest,
-                                   (self.node_id,), Flood(self.node_id)))
+        self._broadcast_rreq(_Rreq(dest, (self.node_id,), Flood(self.node_id)))
 
     def _broadcast_rreq(self, rreq):
         self._broadcast(RREQ_BASE_BYTES + RREQ_PER_HOP_BYTES * len(rreq.record),
@@ -136,14 +134,14 @@ class DsrRouter(ReactiveProtocol):
                 self._send_rrep(path, len(rreq.record))
                 return
         record = rreq.record + (self.node_id,)
-        fwd = _Rreq(rreq.origin, rreq.request_id, rreq.dest, record, rreq.flood)
-        self._jittered(self._broadcast_rreq, fwd)
+        self._jittered(self._broadcast_rreq, _Rreq(rreq.dest, record, rreq.flood))
 
     def _send_rrep(self, path, my_index):
         """Send (or forward) a route reply, the full source route origin ..
-        destination, backward along the record."""
+        destination, backward along the record.  At the origin, which has
+        cached the path, the discovery succeeds."""
         if my_index == 0:
-            self._accept_rrep(path)
+            self._release(path[-1])
             return
         self._unicast(path[my_index - 1],
                       RREP_BASE_BYTES + RREP_PER_HOP_BYTES * len(path),
@@ -157,11 +155,6 @@ class DsrRouter(ReactiveProtocol):
     def _cache_suffixes(self, path, my_index):
         for j in range(my_index + 1, len(path)):
             self.cache.insert(path[my_index:j + 1])
-
-    def _accept_rrep(self, path):
-        self._cache_suffixes(path, 0)
-        self._stop_discovery(path[-1])
-        self._release(path[-1])
 
     # -- source-routed forwarding -------------------------------------
 
@@ -183,32 +176,23 @@ class DsrRouter(ReactiveProtocol):
         # RERR return failures are dropped silently.
 
     def _report_broken_link(self, dead_neighbor, pkt):
-        broken = (self.node_id, dead_neighbor)
-        self.cache.purge_link(*broken)
+        """Start a route error here: its return path runs from this node
+        (pkt.idx - 1, since idx was advanced to the dead hop) to the source."""
         route = pkt.route
-        my_index = pkt.idx - 1  # idx was advanced to the dead hop
-        if self.node_id == route[0]:
-            self._source_reroute(route[-1])
-            return
-        return_path = tuple(reversed(route[:my_index + 1]))
-        err = _Rerr(broken, route[-1], return_path)
-        self._unicast(return_path[1], RERR_BYTES, RERR, err)
+        self.handle_route_error(_Rerr((self.node_id, dead_neighbor), route[-1],
+                                      route[pkt.idx - 1::-1]))
 
     def handle_route_error(self, err):
+        """Purge the broken link.  The source re-sends pending data over a
+        surviving path or starts exactly one fresh discovery; any other node
+        passes the error on toward the source."""
         self.cache.purge_link(*err.broken_link)
-        if self.node_id == err.return_path[-1]:
-            self._source_reroute(err.dest)
-            return
         rp = err.return_path
-        i = rp.index(self.node_id)
-        if i + 1 < len(rp):
-            self._unicast(rp[i + 1], RERR_BYTES, RERR, err)
-
-    def _source_reroute(self, dest):
-        """After a route error: re-send pending data over a surviving path,
-        or start exactly one fresh discovery."""
-        if not self._release(dest):
-            self._start_discovery(dest)
+        if self.node_id == rp[-1]:
+            if not self._release(err.dest):
+                self._start_discovery(err.dest)
+        else:
+            self._unicast(rp[rp.index(self.node_id) + 1], RERR_BYTES, RERR, err)
 
     def handle_frame(self, frame):
         kind = frame.kind

@@ -170,18 +170,16 @@ def test_criterion_3_aodv_gate(capsys):
                              RngStream(trial, "protocol:1"))
         entry = None
         if rng.random() < 0.8:
-            dest_seq = None if rng.random() < 0.2 else rng.randrange(0, 11)
+            dest_seq = rng.randrange(0, 11)
             expires = net.sim.now + US if rng.random() < 0.8 else net.sim.now
             entry = AodvEntry(9, 2, rng.randrange(1, 5), dest_seq, expires)
             entry.valid = rng.random() < 0.8
             router.table[9] = entry
-        known = None if rng.random() < 0.3 else rng.randrange(0, 11)
-        rreq = Rreq(origin=0, rreq_id=trial + 1, dest=9,
-                    dest_seq_known=known, origin_seq=1)
+        known = aodv.UNKNOWN if rng.random() < 0.3 else rng.randrange(0, 11)
+        rreq = Rreq(origin=0, dest=9, dest_seq_known=known, origin_seq=1)
         usable = (entry is not None and entry.valid
                   and net.sim.now < entry.expires_at
-                  and entry.dest_seq is not None
-                  and (known is None or entry.dest_seq >= known))
+                  and (known == aodv.UNKNOWN or entry.dest_seq >= known))
         net.routers[1] = router
         frame = Frame(0, aodv.RREQ_BYTES, aodv.RREQ, rreq)
         before = len(log)
@@ -240,7 +238,7 @@ def test_criterion_4_dsr_purge_and_routes(capsys):
         net.routers[node] = router
         flood = Flood(record[0])
         flood.seen = sum(1 << hop for hop in record)
-        rreq = dsr._Rreq(record[0], 1, cached[-1], record, flood)
+        rreq = dsr._Rreq(cached[-1], record, flood)
         log.clear()
         dsr.DsrRouter.deliver_broadcast(net.routers, 1 << node,
                                         Frame(record[-1], 0, dsr.RREQ, rreq))

@@ -3,7 +3,7 @@
 import pytest
 
 from manetsim.protocols.aodv import (ACTIVE_ROUTE_TIMEOUT_US, RREQ, RREQ_BYTES,
-                                     AodvRouter, Rreq, _fresher)
+                                     UNKNOWN, AodvRouter, Rreq)
 from manetsim.radio import Frame
 
 from conftest import Net
@@ -35,15 +35,6 @@ def delivery_log(net):
 
 
 # -- freshness and installation ----------------------------------------
-
-def test_fresher_treats_unknown_as_oldest():
-    assert _fresher(1, None)
-    assert _fresher(5, 4)
-    assert not _fresher(4, 5)
-    assert not _fresher(4, 4)
-    assert not _fresher(None, 0)
-    assert not _fresher(None, None)
-
 
 def test_install_prefers_fresher_sequence():
     r = one_router()
@@ -97,21 +88,23 @@ def test_broken_route_not_resurrected_by_stale_reply():
 
 # -- discovery ----------------------------------------------------------
 
-def test_originate_rreq_bumps_ids_and_own_seq():
+def test_originate_rreq_bumps_own_seq_and_asks_for_the_known_seq():
     net = Net([(0, 0), (100, 0)])
     log = control_log(net)
     r = net.routers[0]
     rreq = r.originate_rreq(5)
-    assert (rreq.rreq_id, rreq.origin_seq) == (1, 1)
+    assert (rreq.origin_seq, rreq.dest_seq_known) == (1, UNKNOWN)
+    r._install(5, 1, 3, 0)
+    r.table[5].valid = False
     rreq = r.originate_rreq(5)
-    assert (rreq.rreq_id, rreq.origin_seq) == (2, 2)
+    assert (rreq.origin_seq, rreq.dest_seq_known) == (2, 0)
     assert log == [(0, "aodv-rreq", RREQ_BYTES)] * 2
 
 
 def test_rreq_is_never_rebroadcast_twice():
     net = Net([(0, 0), (100, 0), (200, 0)])
     log = control_log(net)
-    rreq = Rreq(origin=0, rreq_id=7, dest=9, dest_seq_known=None, origin_seq=3)
+    rreq = Rreq(origin=0, dest=9, dest_seq_known=UNKNOWN, origin_seq=3)
     frame = Frame(0, RREQ_BYTES, RREQ, rreq)
     AodvRouter.deliver_broadcast(net.routers, 0b010, frame)
     AodvRouter.deliver_broadcast(net.routers, 0b010, frame)  # duplicate: dropped
@@ -123,7 +116,7 @@ def test_rreq_is_never_rebroadcast_twice():
 def test_rreq_installs_reverse_route_to_origin():
     net = Net([(0, 0), (100, 0)])
     r = net.routers[1]
-    r.handle_rreq(Rreq(0, 1, 9, None, origin_seq=4, hop_count=2), prev_hop=0)
+    r.handle_rreq(Rreq(0, 9, UNKNOWN, origin_seq=4, hop_count=2), prev_hop=0)
     e = r.table[0]
     assert (e.next_hop, e.hops, e.dest_seq) == (0, 3, 4)
 
@@ -134,9 +127,9 @@ def test_destination_replies_with_max_of_own_and_requested_seq():
     net.radio.on_transmit = lambda fr: fr.kind == "aodv-rrep" and replies.append(fr.payload)
     r = net.routers[1]
     r.own_seq = 3
-    r.handle_rreq(Rreq(0, 1, dest=1, dest_seq_known=8, origin_seq=1), prev_hop=0)
+    r.handle_rreq(Rreq(0, dest=1, dest_seq_known=8, origin_seq=1), prev_hop=0)
     assert replies[0].dest_seq == 8 and r.own_seq == 8
-    r.handle_rreq(Rreq(0, 2, dest=1, dest_seq_known=2, origin_seq=2), prev_hop=0)
+    r.handle_rreq(Rreq(0, dest=1, dest_seq_known=2, origin_seq=2), prev_hop=0)
     assert replies[1].dest_seq == 8  # own seq already fresher
 
 
@@ -145,11 +138,12 @@ def test_cache_reply_gate_stored_seq_at_least_requested():
     log = control_log(net)
     r = net.routers[1]
     r._install(9, 2, 1, dest_seq=5)
-    r.handle_rreq(Rreq(0, 1, dest=9, dest_seq_known=6, origin_seq=1), prev_hop=0)
+    r.handle_rreq(Rreq(0, dest=9, dest_seq_known=6, origin_seq=1), prev_hop=0)
     assert log[-1][1] == "aodv-rreq"        # cache too stale: must forward
-    r.handle_rreq(Rreq(0, 2, dest=9, dest_seq_known=5, origin_seq=2), prev_hop=0)
+    r.handle_rreq(Rreq(0, dest=9, dest_seq_known=5, origin_seq=2), prev_hop=0)
     assert log[-1][1] == "aodv-rrep"        # equal is fresh enough
-    r.handle_rreq(Rreq(0, 3, dest=9, dest_seq_known=None, origin_seq=3), prev_hop=0)
+    r.handle_rreq(Rreq(0, dest=9, dest_seq_known=UNKNOWN, origin_seq=3),
+                  prev_hop=0)
     assert log[-1][1] == "aodv-rrep"        # unknown is below anything stored
 
 
@@ -188,13 +182,36 @@ def test_buffered_packets_leave_when_their_destinations_request_arrives(chain3):
     key = net.send(2, 0)
     r2 = net.routers[2]
     assert r2.buffers and 0 in r2.pending
-    r2.handle_rreq(Rreq(0, 1, dest=2, dest_seq_known=None, origin_seq=1,
+    r2.handle_rreq(Rreq(0, dest=2, dest_seq_known=UNKNOWN, origin_seq=1,
                         hop_count=1), prev_hop=1)
     assert (2, "data", 512) in log
     assert r2.buffers == {} and r2.pending == {}
     net.run(5)
     assert net.delivered(key) and net.hops(key) == 2
     assert [e for e in log if e[:2] == (2, "aodv-rreq")] == [log[0]]
+
+
+def test_stale_reply_at_the_origin_leaves_the_discovery_running():
+    """A reply older than the broken entry it would replace installs nothing,
+    so the packets keep waiting and the discovery keeps its timer; its retry
+    asks for the newer number and gets a route."""
+    net = Net([(0, 0), (100, 0)])
+    log = control_log(net)
+    src = net.routers[0]
+    src._install(1, 1, 1, 10)
+    src.table[1].valid = False
+    key = net.send(0, 1)                    # the request asks for seq 10
+    timer = src.pending[1]
+    src.table[1].dest_seq = 11              # broken again, higher, meanwhile
+    net.run(0.5)
+    assert not net.delivered(key)           # node 1 replied with seq 10
+    assert src.table[1].dest_seq == 11 and not src.table[1].valid
+    assert src.pending[1] is timer and 1 in src.buffers
+    net.run(5)
+    assert net.delivered(key)
+    assert src.table[1].dest_seq == 11 and src.table[1].valid
+    assert src.pending == {} and src.buffers == {}
+    assert [e for e in log if e[:2] == (0, RREQ)] == [(0, RREQ, RREQ_BYTES)] * 2
 
 
 def test_buffer_overflow_drops_oldest():

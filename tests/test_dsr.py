@@ -2,9 +2,11 @@
 
 from itertools import permutations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from manetsim.protocols.dsr import CACHE_CAPACITY, RouteCache, data_header_bytes
+from manetsim.protocols.dsr import (CACHE_CAPACITY, RERR, RouteCache,
+                                    data_header_bytes)
 
 from conftest import Net
 
@@ -136,6 +138,25 @@ def test_link_break_purges_caches_along_return_path(chain4):
         for path in net.routers[node].cache.paths:
             for a, b in zip(path, path[1:]):
                 assert {a, b} != {2, 3}
+
+
+@pytest.mark.parametrize("moved, errors", [
+    (3, [(2, (2, 1, 0)), (1, (2, 1, 0))]),  # link 2-3: node 2 reports it
+    (1, []),                                # link 0-1: the source sees it
+])
+def test_route_error_runs_from_the_break_back_to_the_source(chain4, moved,
+                                                             errors):
+    net = chain4(protocol="DSR", ideal=False)
+    net.send(0, 3)
+    net.run(5)
+    sent = []
+    net.radio.on_transmit = lambda fr: fr.kind == RERR and sent.append(
+        (fr.src, fr.payload.return_path))
+    net.mobility.move(moved, (0, 5000))
+    net.send(0, 3)
+    net.run(9)
+    assert net.trace.drops["dsr:link_break"] == 1
+    assert sent == errors
 
 
 def test_broken_path_is_purged_and_survivor_takes_over():

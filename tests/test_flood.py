@@ -65,7 +65,7 @@ def test_second_copy_of_a_request_is_neither_handled_nor_rebroadcast(protocol):
 
 
 @pytest.mark.parametrize("protocol", ["AODV", "DSR"])
-def test_retry_with_new_request_id_is_handled_afresh(protocol):
+def test_retry_is_a_new_flood_and_is_handled_afresh(protocol):
     net = Net(DIAMOND, protocol=protocol)
     arrivals, handled, sent = watch(net)
     net.routers[0].originate_rreq(4)
@@ -75,8 +75,6 @@ def test_retry_with_new_request_id_is_handled_afresh(protocol):
     assert len(arrivals) == 4 and len(handled) == 2
     old, new = handled
     assert new.flood is not old.flood
-    request_id = "rreq_id" if protocol == "AODV" else "request_id"
-    assert getattr(new, request_id) == getattr(old, request_id) + 1
     assert sent.count(3) == 2
 
 
@@ -87,7 +85,7 @@ def test_deliver_broadcast_skips_seen_nodes_of_a_request_only():
         router.handle_frame = lambda frame, node=router.node_id: got.append(node)
     flood = Flood(0)
     flood.seen |= 1 << 2
-    rreq = Frame(0, 16, RREQ, _Rreq(0, 1, 4, (0,), flood))
+    rreq = Frame(0, 16, RREQ, _Rreq(4, (0,), flood))
     net.routers[0].deliver_broadcast(net.routers, 0b11111, rreq)
     assert got == [1, 3, 4]
     assert flood.seen == 0b11111
