@@ -132,21 +132,14 @@ def main(argv=None):
     _add_common(p_val)
 
     args = parser.parse_args(argv)
-
+    command = {"run": _cmd_run, "sweep": _cmd_sweep, "plotdata": _cmd_plotdata,
+               "validate": _cmd_validate}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "plotdata":
-            return _cmd_plotdata(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
+        return command(args)
     except ConfigInvalid as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 def _cmd_run(args):

@@ -37,8 +37,7 @@ class PacketTrace:
 
     def record_received(self, flow_id, seq, t_us, hops):
         rec = self.records[(flow_id, seq)]
-        if rec[1] is not None:
-            return  # duplicate delivery; first one wins
+        assert rec[1] is None, "duplicate delivery"
         assert t_us >= rec[0]
         rec[1] = t_us
         rec[2] = hops

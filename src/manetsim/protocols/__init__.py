@@ -11,11 +11,8 @@ PROTOCOLS = {
 
 
 def make_router(name, node_id, sim, radio, trace, rng):
-    try:
-        cls = PROTOCOLS[name.upper()]
-    except KeyError:
-        raise ValueError(f"unknown protocol {name!r}") from None
-    return cls(node_id, sim, radio, trace, rng)
+    """The router of protocol name, which ScenarioConfig.check has accepted."""
+    return PROTOCOLS[name.upper()](node_id, sim, radio, trace, rng)
 
 
 __all__ = ["RoutingProtocol", "DsdvRouter", "AodvRouter", "DsrRouter",

@@ -100,8 +100,6 @@ class AodvRouter(ReactiveProtocol):
 
     def route_lookup(self, dest):
         """Next hop for dest, or None.  Using a route refreshes its expiry."""
-        if dest == self.node_id:
-            return self.node_id
         entry = self.table.get(dest)
         if entry is None or not entry.usable(self.sim.now):
             return None
@@ -159,13 +157,11 @@ class AodvRouter(ReactiveProtocol):
     # -- link failure -------------------------------------------------
 
     def handle_link_break(self, dead_neighbor, frame):
-        if frame.kind == DATA:
-            self.drop("link_break")
-        elif frame.kind == RREP:
+        """A unicast, data or a reply, found dead_neighbor gone."""
+        if frame.kind == RREP:
             self.drop("rrep_return_broken")
             return
-        elif frame.kind == RERR:
-            return
+        self.drop("link_break")
         unreachable = []
         for entry in self.table.values():
             if entry.valid and entry.next_hop == dead_neighbor:

@@ -51,7 +51,11 @@ def connect(radio, routers):
 
 
 class RoutingProtocol:
-    """Per-node protocol instance, driven entirely by engine events."""
+    """Per-node protocol instance, driven entirely by engine events.
+    Subclasses supply ``send_app_packet(pkt)``, ``handle_frame(frame)`` and
+    ``handle_link_break(dead_neighbor, frame)``, for a unicast that found
+    its receiver gone; those that forward hop by hop, ``route_lookup(dest)``,
+    the next hop to dest or None."""
 
     name = "?"
 
@@ -68,20 +72,11 @@ class RoutingProtocol:
     def start(self):
         """Called once at t=0 before any traffic."""
 
-    def send_app_packet(self, pkt):
-        raise NotImplementedError
-
-    def handle_frame(self, frame):
-        raise NotImplementedError
-
     @classmethod
     def deliver_broadcast(cls, routers, mask, frame):
         """Hand a broadcast frame to the routers in mask, in node order."""
         for node in receivers(mask):
             routers[node].handle_frame(frame)
-
-    def handle_link_break(self, dead_neighbor, frame):
-        raise NotImplementedError
 
     # -- helpers ------------------------------------------------------
 
@@ -158,15 +153,6 @@ class ReactiveProtocol(RoutingProtocol):
             mask &= ~flood.seen
             flood.seen |= mask
         super().deliver_broadcast(routers, mask, frame)
-
-    def route_lookup(self, dest):
-        raise NotImplementedError
-
-    def _send(self, pkt, route):
-        raise NotImplementedError
-
-    def originate_rreq(self, dest):
-        raise NotImplementedError
 
     def send_app_packet(self, pkt):
         route = self.route_lookup(pkt.dst)

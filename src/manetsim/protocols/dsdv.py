@@ -12,7 +12,7 @@ in one call.
 
 import numpy as np
 
-from .base import DATA, RoutingProtocol
+from .base import RoutingProtocol
 
 ADVERTISE_INTERVAL_US = 15_000_000
 ADVERTISE_JITTER = 0.2              # +-20% around the nominal interval
@@ -202,10 +202,9 @@ class DsdvRouter(RoutingProtocol):
     # -- link failure -------------------------------------------------
 
     def handle_link_break(self, dead_neighbor, frame):
-        if frame.kind == DATA:
-            self.drop("link_break")
-        invalidated = self.invalidate_via(dead_neighbor)
-        if invalidated:
+        """A data packet, DSDV's only unicast, found dead_neighbor gone."""
+        self.drop("link_break")
+        if self.invalidate_via(dead_neighbor):
             self._trigger_update()
 
     def invalidate_via(self, dead_neighbor):
@@ -223,8 +222,6 @@ class DsdvRouter(RoutingProtocol):
 
     def route_lookup(self, dest):
         """Next hop for dest, or None.  DSDV has no on-demand discovery."""
-        if dest == self.node_id:
-            return self.node_id
         sh = self._settling.get(dest)
         if sh is not None:
             if self.sim.now < sh[2]:

@@ -35,8 +35,8 @@ class RouteCache:
         self.paths = []
 
     def insert(self, route):
-        """Store a path tuple: a suffix of a checked reply path, so loop-free."""
-        if len(route) < 2 or route in self.paths:
+        """Store a path of 2+ nodes: a suffix of a checked reply path, so loop-free."""
+        if route in self.paths:
             return
         if len(self.paths) >= CACHE_CAPACITY:
             self.paths.pop(0)

@@ -136,10 +136,8 @@ class Radio:
                 masks[k] &= ~(1 << j)
             if abs(sq - rr) <= self._band:
                 heappush(reviews, (t_us + 1, j, k, stamps[j], stamps[k]))
-        # Reviews of pairs that changed legs since are dropped unseen.
-        while reviews and (stamps[reviews[0][1]] != reviews[0][3]
-                           or stamps[reviews[0][2]] != reviews[0][4]):
-            heappop(reviews)
+        # A stale review at the head, which only FixedPositions.move leaves,
+        # brings the next review early; the loop above then drops it.
         self._due = min(reviews[0][0] if reviews else math.inf, mob.next_transition)
 
     def _new_legs(self, t_us, xy, rr):

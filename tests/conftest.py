@@ -6,7 +6,8 @@ from manetsim.engine import RngStream, Simulator, to_us
 from manetsim.metrics import PacketTrace
 from manetsim.mobility import FixedPositions
 from manetsim.protocols import connect, make_router
-from manetsim.radio import Radio
+from manetsim.protocols.base import DATA
+from manetsim.radio import Frame, Radio
 from manetsim.scenario import ScenarioConfig
 from manetsim.traffic import AppPacket
 
@@ -38,13 +39,26 @@ class Net:
         for r in self.routers:
             r.start()
 
-    def send(self, src, dst, flow_id=0, seq=None, size=512):
-        """Generate one app packet at the current sim time and hand it to src."""
+    def _generate(self, dst, flow_id, seq, size):
+        """One app packet for dst, traced as generated at the current sim time."""
         if seq is None:
             seq = self._next_seq = getattr(self, "_next_seq", -1) + 1
         self.trace.record_generated(flow_id, seq, self.sim.now, size)
-        self.routers[src].send_app_packet(AppPacket(flow_id, seq, size, dst))
-        return (flow_id, seq)
+        return AppPacket(flow_id, seq, size, dst)
+
+    def send(self, src, dst, flow_id=0, seq=None, size=512):
+        """Generate one app packet at the current sim time and hand it to src."""
+        pkt = self._generate(dst, flow_id, seq, size)
+        self.routers[src].send_app_packet(pkt)
+        return (flow_id, pkt.seq)
+
+    def arrive(self, node, dst, hops, flow_id=0, size=512):
+        """Generate one app packet at the current sim time that has crossed
+        hops links, and hand it to node as a data frame."""
+        pkt = self._generate(dst, flow_id, None, size)
+        pkt.hops = hops
+        self.routers[node].handle_frame(Frame(node, size, DATA, pkt))
+        return (flow_id, pkt.seq)
 
     def run(self, until_s):
         self.sim.run_until(int(until_s * 1_000_000))

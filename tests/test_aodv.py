@@ -4,6 +4,7 @@ import pytest
 
 from manetsim.protocols.aodv import (ACTIVE_ROUTE_TIMEOUT_US, RREQ, RREQ_BYTES,
                                      UNKNOWN, AodvRouter, Rreq)
+from manetsim.protocols.base import MAX_HOPS
 from manetsim.radio import Frame
 
 from conftest import Net
@@ -219,6 +220,20 @@ def test_buffer_overflow_drops_oldest():
     for _ in range(70):
         net.send(0, 1)
     assert net.trace.drops["aodv:buffer_overflow"] == 70 - 64
+
+
+def test_hop_limit_drops_a_packet_on_its_last_allowed_link(chain3):
+    """Node 1 forwards a packet that reached it over its MAX_HOPS - 1st
+    link, and drops one that reached it over its MAX_HOPS-th."""
+    net = chain3()
+    net.send(0, 2)
+    net.run(5)
+    late = net.arrive(1, 2, MAX_HOPS - 1)
+    in_time = net.arrive(1, 2, MAX_HOPS - 2)
+    net.run(6)
+    assert not net.delivered(late)
+    assert net.trace.drops["aodv:hop_limit"] == 1
+    assert net.delivered(in_time) and net.hops(in_time) == MAX_HOPS
 
 
 def test_established_route_skips_rediscovery(chain3):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
+from manetsim.protocols.base import MAX_HOPS
 from manetsim.protocols.dsdv import (INFINITY, SETTLE_US, UNRANKED, UPDATE,
                                      UPDATE_ENTRY_BYTES, UPDATE_HEADER_BYTES,
                                      DsdvRouter, _decode, _rank, _valid)
@@ -408,6 +409,19 @@ def test_chain_delivery_after_convergence(chain3):
     net.run(11)
     assert net.delivered(key)
     assert net.hops(key) == 2
+
+
+def test_hop_limit_drops_a_packet_on_its_last_allowed_link(chain3):
+    """Node 1 forwards a packet that reached it over its MAX_HOPS - 1st
+    link, and drops one that reached it over its MAX_HOPS-th."""
+    net = chain3(protocol="DSDV")
+    net.run(10)
+    late = net.arrive(1, 2, MAX_HOPS - 1)
+    in_time = net.arrive(1, 2, MAX_HOPS - 2)
+    net.run(11)
+    assert not net.delivered(late)
+    assert net.trace.drops["dsdv:hop_limit"] == 1
+    assert net.delivered(in_time) and net.hops(in_time) == MAX_HOPS
 
 
 def test_no_route_is_dropped_not_crashed():

@@ -5,8 +5,9 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from manetsim.protocols.dsr import (CACHE_CAPACITY, RERR, RouteCache,
-                                    data_header_bytes)
+from manetsim.protocols.dsr import (CACHE_CAPACITY, RERR, RERR_BYTES, RREP,
+                                    RREP_BASE_BYTES, RouteCache, data_header_bytes)
+from manetsim.radio import Frame
 
 from conftest import Net
 
@@ -30,9 +31,8 @@ def test_cache_find_prefers_shortest_then_oldest():
     assert c.find(9) == (0, 3, 9)
 
 
-def test_cache_ignores_trivial_and_duplicate_paths():
+def test_cache_ignores_duplicate_paths():
     c = RouteCache()
-    c.insert((0,))
     c.insert((0, 9))
     c.insert((0, 9))
     assert c.paths == [(0, 9)]
@@ -157,6 +157,15 @@ def test_route_error_runs_from_the_break_back_to_the_source(chain4, moved,
     net.run(9)
     assert net.trace.drops["dsr:link_break"] == 1
     assert sent == errors
+
+
+def test_a_broken_reply_is_counted_and_a_broken_error_is_not():
+    net = Net([(0, 0)], protocol="DSR")
+    router = net.routers[0]
+    router.handle_link_break(1, Frame(0, RREP_BASE_BYTES, RREP, (2, 1, 0)))
+    assert net.trace.drops == {"dsr:rrep_return_broken": 1}
+    router.handle_link_break(1, Frame(0, RERR_BYTES, RERR, None))
+    assert net.trace.drops == {"dsr:rrep_return_broken": 1}
 
 
 def test_broken_path_is_purged_and_survivor_takes_over():

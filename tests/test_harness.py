@@ -52,7 +52,8 @@ def test_warmup_must_precede_sim_end():
     ("per_hop_latency", -0.01), ("drain", -50.0), ("retry_limit", -1),
     ("rate", math.nan), ("sim_time", math.inf), ("radio_range", math.inf),
     ("area_width", math.nan), ("drain", math.nan), ("min_speed", 1e-12),
-    ("pause_time", 1e14), ("radio_range", 0.0), ("bandwidth", -1)])
+    ("pause_time", 1e14), ("radio_range", 0.0), ("bandwidth", -1),
+    ("area_width", 0.0), ("area_height", -1.0), ("rate", 0.0), ("packet_size", 0)])
 def test_validation_rejects_negative_and_non_finite(name, value):
     assert ScenarioConfig(**{name: value}).validate()
 
@@ -122,6 +123,18 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path.write_text("wibble = 3\n")
     with pytest.raises(ConfigInvalid):
         load_config_file(path)
+
+
+@pytest.mark.parametrize("line, error", [
+    ("node_count 30", "expected 'key = value'"),
+    ("node_count = thirty", "bad value 'thirty' for node_count")],
+    ids=["no-equals", "bad-value"])
+def test_config_file_rejects_malformed_lines(tmp_path, line, error):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"protocol = DSR\n{line}\n")
+    with pytest.raises(ConfigInvalid) as exc:
+        load_config_file(path)
+    assert exc.value.errors == [f"{path}:2: {error}"]
 
 
 # -- single scenarios ---------------------------------------------------
@@ -241,11 +254,28 @@ def test_plot_data_files(small_sweep):
 
 
 def test_sweep_records_per_cell_failures(tmp_path):
-    spec = SweepSpec(protocols=["AODV"], node_counts=[4], pause_times=[STATIC],
+    spec = SweepSpec(protocols=["AODV"], node_counts=[4, 12], pause_times=[STATIC],
                      seeds_per_cell=1)
     base = ScenarioConfig(**FAST)   # n_flows=3 impossible with 4 nodes
-    rows, failures = run_sweep(spec, base, str(tmp_path))
-    assert rows == [] and len(failures) == 1
+    lines = []
+    rows, failures = run_sweep(spec, base, str(tmp_path), progress=lines.append)
+    assert [r["nodes"] for r in rows] == [12] and len(failures) == 1
+    assert lines == [
+        "AODV-n4-pstatic-s7: FAILED (ConfigInvalid: n_flows must be in "
+        "[1, node_count/2], got 3)",
+        f"AODV-n12-pstatic-s7: pdr={rows[0]['pdr']:.2f}"]
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("protocols", [], "protocols list must be non-empty"),
+    ("node_counts", [], "node_counts list must be non-empty"),
+    ("pause_times", [], "pause_times list must be non-empty"),
+    ("seeds_per_cell", 0, "seeds_per_cell must be >= 1")],
+    ids=["protocols", "node_counts", "pause_times", "seeds_per_cell"])
+def test_sweep_spec_validation(field, value, error):
+    grid = dict(protocols=["AODV"], node_counts=[12], pause_times=[STATIC])
+    assert SweepSpec(**grid).validate() == []
+    assert SweepSpec(**dict(grid, **{field: value})).validate() == [error]
 
 
 def test_sweep_failing_cell_stops_only_itself(tmp_path, monkeypatch):
@@ -299,6 +329,18 @@ def test_cli_sweep_and_plotdata(tmp_path, capsys):
     code = main(["plotdata", "--protocols", "AODV", "--node-counts", "12",
                  "--pauses", "static", "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_cli_sweep_rejects_an_empty_grid(tmp_path, capsys):
+    assert main(["sweep", "--protocols", "", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "config error: protocols list must be non-empty\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_plotdata_needs_a_sweep(tmp_path, capsys):
+    assert main(["plotdata", "--out", str(tmp_path)]) == 1
+    assert "no raw.csv in" in capsys.readouterr().err
 
 
 def test_cli_sweep_failed_cell_exit_code(tmp_path, capsys):

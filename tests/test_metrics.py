@@ -93,13 +93,12 @@ def test_duplicate_generation_asserts():
         trace.record_generated(0, 0, 10, 512)
 
 
-def test_duplicate_delivery_first_wins():
+def test_duplicate_delivery_asserts():
     trace = PacketTrace()
     trace.record_generated(0, 0, 0, 512)
     trace.record_received(0, 0, 3048, 1)
-    trace.record_received(0, 0, 9999, 3)
-    assert trace.records[(0, 0)][1] == 3048
-    assert trace.packets_received == 1
+    with pytest.raises(AssertionError):
+        trace.record_received(0, 0, 9999, 3)
 
 
 def test_window_filters_by_generation_time():

@@ -58,7 +58,9 @@ def test_cbr_packet_count_and_spacing():
 def test_generation_stops_at_stop_time():
     flow = Flow(0, 1, 2, rate=4.0, packet_size=512,
                 start_us=US // 2, stop_us=10 * US)
-    _, sent = run_generator([flow])
+    # A start at the stop time, as the stagger of a short run can draw.
+    late = Flow(1, 3, 4, rate=4.0, packet_size=512, start_us=10 * US, stop_us=10 * US)
+    _, sent = run_generator([flow, late])
     assert all(t < 10 * US for t, _, _ in sent)
     assert len(sent) == 38  # 0.5 s late start loses the first two slots
 
