@@ -1,10 +1,12 @@
 """Experiment grids: protocol x node-count x pause-time sweeps, result
 tables and plot-ready data files."""
 
+import contextlib
 import csv
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import List
 
 from .mobility import STATIC
@@ -60,38 +62,67 @@ def _parse_pause(text):
     return float(text)
 
 
-def run_sweep(spec, base, out_dir, trace_cells=False, progress=None):
+def run_sweep(spec, base, out_dir, trace_cells=False, progress=None, jobs=None):
     """Execute every grid cell; returns (rows, failures).
 
     Per-cell failures are recorded and the remaining cells still run.
     Writes throughput.csv / pdr.csv / delay.csv (wide, mean over seeds),
     raw.csv (long, per seed) and optional per-cell trace files.
+
+    Cells run in ``jobs`` worker processes, by default one per CPU this
+    process may use, and never more than there are cells.  With one worker
+    they run in this process.  Progress lines and failures come in cell
+    order either way, and the outputs are the same bytes.  Workers are
+    forked, because a spawned worker imports numpy and manetsim afresh,
+    which made a two-cell call slower than a serial one; a caller that
+    runs threads of its own passes ``jobs=1``.
     """
     spec.check()
+    if jobs is not None and jobs < 1:
+        raise ConfigInvalid([f"jobs must be >= 1, got {jobs}"])
     os.makedirs(out_dir, exist_ok=True)
+    cells = list(spec.cells(base))
+    workers = min(jobs or len(os.sched_getaffinity(0)), len(cells))
+    trace_dir = out_dir if trace_cells else None
     rows = []
     failures = []
-    for config in spec.cells(base):
-        label = (f"{config.protocol}-n{config.node_count}"
-                 f"-p{_pause_label(config.pause_time)}-s{config.seed}")
-        trace_path = os.path.join(out_dir, f"trace_{label}.csv") if trace_cells else None
-        try:
-            record, _trace = run_scenario(config, trace_path=trace_path)
-        except Exception as exc:    # one failing cell must not stop the grid
-            reason = f"{type(exc).__name__}: {exc}"
-            failures.append((label, reason))
+    with contextlib.ExitStack() as stack:
+        cell_map = map
+        if workers > 1:
+            # Imported here: they add 1.4 MB of memory to every process
+            # that imports this module, and only a pool needs them.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+            pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+            cell_map = stack.enter_context(pool).map
+        for label, row, reason in cell_map(_run_cell, cells, repeat(trace_dir)):
+            if row is None:
+                failures.append((label, reason))
+                line = f"{label}: FAILED ({reason})"
+            else:
+                rows.append(row)
+                line = f"{label}: pdr={row['pdr']:.2f}"
             if progress:
-                progress(f"{label}: FAILED ({reason})")
-            continue
-        rows.append(result_row(config, record))
-        if progress:
-            progress(f"{label}: pdr={record.pdr:.2f}")
+                progress(line)
     rows.sort(key=lambda r: (r["protocol"], r["nodes"], r["pause"], r["seed"]))
     write_raw_csv(rows, os.path.join(out_dir, "raw.csv"))
     for metric in METRIC_NAMES:
         write_metric_table(rows, spec, metric,
                            os.path.join(out_dir, f"{metric}.csv"))
     return rows, failures
+
+
+def _run_cell(config, trace_dir):
+    """(label, raw.csv row, None) of one grid cell, or (label, None, reason)
+    when it raises; with a trace_dir the cell writes its trace there."""
+    label = (f"{config.protocol}-n{config.node_count}"
+             f"-p{_pause_label(config.pause_time)}-s{config.seed}")
+    trace_path = os.path.join(trace_dir, f"trace_{label}.csv") if trace_dir else None
+    try:
+        record, _trace = run_scenario(config, trace_path=trace_path)
+    except Exception as exc:    # one failing cell must not stop the grid
+        return label, None, f"{type(exc).__name__}: {exc}"
+    return label, result_row(config, record), None
 
 
 def result_row(config, record):

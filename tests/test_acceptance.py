@@ -266,7 +266,7 @@ def full_sweep(tmp_path_factory):
                      seeds_per_cell=5)
     base = ScenarioConfig()     # realistic MAC, 100 s, seeds 1..5 per cell
     started = time.perf_counter()
-    rows, failures = run_sweep(spec, base, str(out))
+    rows, failures = run_sweep(spec, base, str(out), jobs=1)   # the serial gate
     elapsed = time.perf_counter() - started
     assert failures == []
     return spec, rows, elapsed

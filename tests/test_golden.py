@@ -12,8 +12,9 @@ locked under MOVE_KEY, so that the writer of that file can change without
 changing its bytes.  Under WIDE_KEY, the ``raw.csv`` of one 70-node cell
 per protocol locks runs whose receiver masks and node ids pass 64 bits,
 where a numpy integer in place of a Python one breaks the radio's mask
-shifts.  A change that alters behaviour on purpose regenerates
-``golden.json`` with
+shifts.  WIDE's cells run in worker processes on a host with more than
+one CPU, so its digest also locks the parallel sweep.  A change that
+alters behaviour on purpose regenerates ``golden.json`` with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -105,7 +106,8 @@ def golden_outputs(out_dir):
         return built
 
     with mock.patch.object(scenario, "build_simulation", build_and_keep_stats):
-        _rows, failures = run_sweep(GRID, BASE, str(out), trace_cells=True)
+        # In this process: the patched build_simulation keeps the stats.
+        _rows, failures = run_sweep(GRID, BASE, str(out), trace_cells=True, jobs=1)
         for protocol in GRID.protocols:
             run_scenario(dataclasses.replace(SLOW, protocol=protocol))
     assert failures == []
@@ -116,7 +118,7 @@ def golden_outputs(out_dir):
                           for cell, counts in sorted(stats.items())}
     outputs[MOVE_KEY] = _movement_cells(out)
     wide = out / "wide"
-    _rows, failures = run_sweep(WIDE, BASE, str(wide))
+    _rows, failures = run_sweep(WIDE, BASE, str(wide))     # in worker processes
     assert failures == []
     outputs[WIDE_KEY] = _sha256(wide / "raw.csv")
     return outputs

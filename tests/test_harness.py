@@ -2,6 +2,7 @@
 
 import gc
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -287,12 +288,40 @@ def test_sweep_failing_cell_stops_only_itself(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "run_scenario", run_or_raise)
     spec = SweepSpec(protocols=["AODV"], node_counts=[12], pause_times=[STATIC],
                      seeds_per_cell=3)
-    rows, failures = run_sweep(spec, ScenarioConfig(**FAST), str(tmp_path))
+    rows, failures = run_sweep(spec, ScenarioConfig(**FAST), str(tmp_path), jobs=1)
     assert failures == [(f"AODV-n12-pstatic-s{FAST['seed'] + 1}",
                          "SchedulingInPast: event at -1 before now 0")]
     assert [r["seed"] for r in rows] == [FAST["seed"], FAST["seed"] + 2]
     assert [r["seed"] for r in read_raw_csv(tmp_path / "raw.csv")] == \
         [FAST["seed"], FAST["seed"] + 2]
+
+
+def test_parallel_sweep_matches_a_serial_one(tmp_path):
+    """Cells in two worker processes give the files, rows, failures and
+    progress lines of cells run in this process, and no worker outlives
+    the call."""
+    spec = SweepSpec(protocols=["DSR"], node_counts=[12, 4, 16], pause_times=[5.0],
+                     seeds_per_cell=1)
+    base = ScenarioConfig(**FAST)   # n_flows=3 impossible with 4 nodes
+    runs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        lines = []
+        rows, failures = run_sweep(spec, base, str(out), trace_cells=True,
+                                   progress=lines.append, jobs=jobs)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((files, rows, failures, lines))
+    assert multiprocessing.active_children() == []
+    serial, parallel = runs
+    assert serial == parallel
+    files, rows, failures, lines = serial
+    assert [r["nodes"] for r in rows] == [12, 16]
+    assert failures == [("DSR-n4-p5-s7", "ConfigInvalid: n_flows must be in "
+                         "[1, node_count/2], got 3")]
+    assert [line.split(":")[0] for line in lines] == \
+        ["DSR-n12-p5-s7", "DSR-n4-p5-s7", "DSR-n16-p5-s7"]
+    assert sorted(files) == ["delay.csv", "pdr.csv", "raw.csv", "throughput.csv",
+                             "trace_DSR-n12-p5-s7.csv", "trace_DSR-n16-p5-s7.csv"]
 
 
 # -- CLI ----------------------------------------------------------------
@@ -335,6 +364,12 @@ def test_cli_sweep_rejects_an_empty_grid(tmp_path, capsys):
     assert main(["sweep", "--protocols", "", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == \
         "config error: protocols list must be non-empty\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_refuses_fewer_than_one_job(tmp_path, capsys):
+    assert main(["sweep", "--jobs", "0", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: jobs must be >= 1, got 0\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -10,16 +10,21 @@ that define what the simulator does:
 - the grid of ``tests/test_golden.py``;
 - the console-script commands of the CI workflow.
 
+The script pins itself to one CPU for the pass, so that a sweep runs its
+cells in this process, where the trace sees them; only the console
+script's ``--jobs 2`` sweep starts worker processes.
+
 A line that none of them reaches is deleted, or it stays for a reason that
 ``ALLOWED`` gives, with the test that reaches it.  ``ALLOWED`` is keyed by
 file and function.  The script exits 1 when an unreached line's function
 is not in it, or when an entry has no unreached line left, and it prints
-them.  It takes about 90 s on a two-core host.
+them.  It takes about 100 s on a two-core host.
 """
 
 import contextlib
 import importlib.util
 import io
+import os
 import re
 import sys
 import tempfile
@@ -78,9 +83,13 @@ ALLOWED = {
     # Outcomes that a valid config can have, but no run has.
     ("metrics.py", "summarize"): (
         "a window without a delivery", "tests/test_metrics.py::test_summarize_zero_deliveries"),
+    ("sweep.py", "_run_cell"): (
+        "a failing cell", HARNESS + "test_sweep_records_per_cell_failures"),
     ("sweep.py", "run_sweep"): (
-        "a failing cell, and progress lines, which --quiet turns off",
-        HARNESS + "test_sweep_records_per_cell_failures"),
+        "refuses jobs < 1; a failed cell's entry, and progress lines, which "
+        "--quiet turns off",
+        HARNESS + "test_cli_sweep_refuses_fewer_than_one_job, "
+        "test_sweep_records_per_cell_failures"),
     ("sweep.py", "cell_mean"): (
         "a cell without a value", HARNESS + "test_sweep_records_per_cell_failures"),
     ("sweep.py", "_fmt"): (
@@ -118,8 +127,8 @@ CLI_COMMANDS = [
     (["run", "--nodes", "20", "--sim-time", "15", "--trace", "--move-trace",
       "--move-trace-interval", "5", "--out", "{out}/traced"], 0),
     (["run", "--move-trace", "--move-trace-interval", "0", "--out", "{out}/zero"], 1),
-    (["sweep", *GRID, "--seeds-per-cell", "1", "--sim-time", "15", "--quiet",
-      "--out", "{out}/sweep"], 0),
+    (["sweep", *GRID, "--seeds-per-cell", "1", "--sim-time", "15", "--jobs", "2",
+      "--quiet", "--out", "{out}/sweep"], 0),
     (["plotdata", *GRID, "--out", "{out}/sweep"], 0),
 ]
 
@@ -211,9 +220,14 @@ def unreached():
     """{(file, function): [(line, source)]} of the lines no run reaches."""
     reached = set()
     sys.path.insert(0, str(SRC.parent))
-    with tempfile.TemporaryDirectory() as tmp, traced(reached):
-        for run in (run_workloads, run_golden, run_cli):
-            run(Path(tmp))
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        with tempfile.TemporaryDirectory() as tmp, traced(reached):
+            for run in (run_workloads, run_golden, run_cli):
+                run(Path(tmp))
+    finally:
+        os.sched_setaffinity(0, cpus)
     found = {}
     for path in sorted(SRC.rglob("*.py")):
         name = path.relative_to(SRC).as_posix()
