@@ -121,10 +121,6 @@ def main(argv=None):
                          default=SweepSpec.seeds_per_cell)
     p_sweep.add_argument("--trace-cells", action="store_true",
                          help="write a per-packet trace CSV for every cell")
-    p_sweep.add_argument("--jobs", type=int,
-                         default=inspect.signature(run_sweep).parameters["jobs"].default,
-                         help="worker processes (default: one per usable CPU); "
-                              "1 runs the cells in this process")
     p_sweep.add_argument("--quiet", action="store_true")
 
     p_plot = sub.add_parser("plotdata", help="emit per-figure data files")
@@ -169,8 +165,7 @@ def _cmd_sweep(args):
     spec = _grid_spec(args, seeds_per_cell=args.seeds_per_cell)
     progress = None if args.quiet else lambda line: print(line, flush=True)
     rows, failures = run_sweep(spec, base, args.out,
-                               trace_cells=args.trace_cells, progress=progress,
-                               jobs=args.jobs)
+                               trace_cells=args.trace_cells, progress=progress)
     emit_plot_data(rows, spec, args.out)
     if failures:
         print(f"{len(failures)} cell(s) failed:", file=sys.stderr)

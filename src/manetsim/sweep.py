@@ -14,6 +14,21 @@ from .scenario import ConfigInvalid, ScenarioConfig, run_scenario
 
 METRIC_NAMES = ("throughput", "pdr", "delay")
 
+# A sweep's workers are forked where that was measured: on Linux (which
+# has os.sched_getaffinity) before Python 3.12.  Spawned workers import
+# numpy and manetsim afresh, which made a two-cell call slower than a
+# serial one.  From 3.12 Python deprecates forking a process that runs
+# threads, and numpy's BLAS starts one at import.  There, and without
+# os.sched_getaffinity (macOS, Windows), a pool takes the platform's start
+# method and a default sweep runs in this process.
+_FORK = sys.version_info < (3, 12) and hasattr(os, "sched_getaffinity")
+# The most workers a default sweep starts.  The CPUs this process may use
+# can outnumber its share of a container, and each worker holds its own
+# copy of the simulator: on the 225-cell grid of the acceptance test, the
+# sweep's processes held 37 MB resident at once with no worker, 96 MB with
+# two and 156 MB with four.  Speed was timed with up to two workers.
+MAX_DEFAULT_JOBS = 4
+
 
 @dataclass
 class SweepSpec:
@@ -69,20 +84,20 @@ def run_sweep(spec, base, out_dir, trace_cells=False, progress=None, jobs=None):
     Writes throughput.csv / pdr.csv / delay.csv (wide, mean over seeds),
     raw.csv (long, per seed) and optional per-cell trace files.
 
-    Cells run in ``jobs`` worker processes, by default one per CPU this
-    process may use, and never more than there are cells.  With one worker
-    they run in this process.  Progress lines and failures come in cell
-    order either way, and the outputs are the same bytes.  Workers are
-    forked, because a spawned worker imports numpy and manetsim afresh,
-    which made a two-cell call slower than a serial one; a caller that
-    runs threads of its own passes ``jobs=1``.
+    Cells run in ``jobs`` worker processes, and never more than there are
+    cells; with fewer than two they run in this process.  Progress lines
+    and failures come in cell order either way, and the outputs are the
+    same bytes.  The default, ``jobs=None``, is one worker per CPU this
+    process may use, at most MAX_DEFAULT_JOBS, where workers are forked
+    (see _FORK); elsewhere it is 1.  A caller that runs threads of its
+    own passes ``jobs=1``.
     """
     spec.check()
-    if jobs is not None and jobs < 1:
-        raise ConfigInvalid([f"jobs must be >= 1, got {jobs}"])
     os.makedirs(out_dir, exist_ok=True)
     cells = list(spec.cells(base))
-    workers = min(jobs or len(os.sched_getaffinity(0)), len(cells))
+    if jobs is None:
+        jobs = min(len(os.sched_getaffinity(0)), MAX_DEFAULT_JOBS) if _FORK else 1
+    workers = min(jobs, len(cells))
     trace_dir = out_dir if trace_cells else None
     rows = []
     failures = []
@@ -93,7 +108,8 @@ def run_sweep(spec, base, out_dir, trace_cells=False, progress=None, jobs=None):
             # that imports this module, and only a pool needs them.
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
-            pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+            pool = ProcessPoolExecutor(
+                workers, mp_context=get_context("fork" if _FORK else None))
             cell_map = stack.enter_context(pool).map
         for label, row, reason in cell_map(_run_cell, cells, repeat(trace_dir)):
             if row is None:

@@ -12,8 +12,9 @@ locked under MOVE_KEY, so that the writer of that file can change without
 changing its bytes.  Under WIDE_KEY, the ``raw.csv`` of one 70-node cell
 per protocol locks runs whose receiver masks and node ids pass 64 bits,
 where a numpy integer in place of a Python one breaks the radio's mask
-shifts.  WIDE's cells run in worker processes on a host with more than
-one CPU, so its digest also locks the parallel sweep.  A change that
+shifts.  WIDE's cells run in worker processes where a default sweep
+starts them (Linux, Python 3.11, more than one CPU), so there its digest
+also locks the parallel sweep.  A change that
 alters behaviour on purpose regenerates ``golden.json`` with
 
     PYTHONPATH=src python tests/test_golden.py

@@ -367,12 +367,6 @@ def test_cli_sweep_rejects_an_empty_grid(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_sweep_refuses_fewer_than_one_job(tmp_path, capsys):
-    assert main(["sweep", "--jobs", "0", "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "config error: jobs must be >= 1, got 0\n"
-    assert not (tmp_path / "out").exists()
-
-
 def test_cli_plotdata_needs_a_sweep(tmp_path, capsys):
     assert main(["plotdata", "--out", str(tmp_path)]) == 1
     assert "no raw.csv in" in capsys.readouterr().err

@@ -10,9 +10,10 @@ that define what the simulator does:
 - the grid of ``tests/test_golden.py``;
 - the console-script commands of the CI workflow.
 
-The script pins itself to one CPU for the pass, so that a sweep runs its
-cells in this process, where the trace sees them; only the console
-script's ``--jobs 2`` sweep starts worker processes.
+The script pins itself to one CPU for the workloads and the golden grid,
+so that their sweeps run every cell in this process, where the trace sees
+it.  The console script's sweep runs at the default, so on Python 3.11
+with two CPUs or more it reaches the worker pool of ``run_sweep``.
 
 A line that none of them reaches is deleted, or it stays for a reason that
 ``ALLOWED`` gives, with the test that reaches it.  ``ALLOWED`` is keyed by
@@ -86,10 +87,8 @@ ALLOWED = {
     ("sweep.py", "_run_cell"): (
         "a failing cell", HARNESS + "test_sweep_records_per_cell_failures"),
     ("sweep.py", "run_sweep"): (
-        "refuses jobs < 1; a failed cell's entry, and progress lines, which "
-        "--quiet turns off",
-        HARNESS + "test_cli_sweep_refuses_fewer_than_one_job, "
-        "test_sweep_records_per_cell_failures"),
+        "a failed cell's entry, and progress lines, which --quiet turns off",
+        HARNESS + "test_sweep_records_per_cell_failures"),
     ("sweep.py", "cell_mean"): (
         "a cell without a value", HARNESS + "test_sweep_records_per_cell_failures"),
     ("sweep.py", "_fmt"): (
@@ -127,8 +126,8 @@ CLI_COMMANDS = [
     (["run", "--nodes", "20", "--sim-time", "15", "--trace", "--move-trace",
       "--move-trace-interval", "5", "--out", "{out}/traced"], 0),
     (["run", "--move-trace", "--move-trace-interval", "0", "--out", "{out}/zero"], 1),
-    (["sweep", *GRID, "--seeds-per-cell", "1", "--sim-time", "15", "--jobs", "2",
-      "--quiet", "--out", "{out}/sweep"], 0),
+    (["sweep", *GRID, "--seeds-per-cell", "1", "--sim-time", "15", "--quiet",
+      "--out", "{out}/sweep"], 0),
     (["plotdata", *GRID, "--out", "{out}/sweep"], 0),
 ]
 
@@ -221,13 +220,14 @@ def unreached():
     reached = set()
     sys.path.insert(0, str(SRC.parent))
     cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        with tempfile.TemporaryDirectory() as tmp, traced(reached):
-            for run in (run_workloads, run_golden, run_cli):
-                run(Path(tmp))
-    finally:
-        os.sched_setaffinity(0, cpus)
+    with tempfile.TemporaryDirectory() as tmp, traced(reached):
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            run_workloads(Path(tmp))
+            run_golden(Path(tmp))
+        finally:
+            os.sched_setaffinity(0, cpus)
+        run_cli(Path(tmp))
     found = {}
     for path in sorted(SRC.rglob("*.py")):
         name = path.relative_to(SRC).as_posix()
