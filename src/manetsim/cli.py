@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: run (single scenario), sweep (experiment grid), plotdata
-(figure data files from raw sweep results), validate (config check only).
+(tables and figure data from a sweep's raw.csv), validate (config check).
 Exit codes: 0 success, 1 config error, 2 failed sweep cells.
 
 Config files are line-oriented ``key = value`` text; CLI flags override
@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 
 from .scenario import ConfigInvalid, ScenarioConfig, run_scenario
-from .sweep import SweepSpec, _parse_pause, emit_plot_data, read_raw_csv, run_sweep
+from .sweep import SweepSpec, _parse_pause, read_raw_csv, run_sweep, write_derived
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
@@ -80,21 +80,8 @@ def _add_common(parser):
     parser.add_argument("--out", default="results", help="output directory")
 
 
-def _add_grid(parser):
-    parser.add_argument("--protocols", default="DSDV,AODV,DSR")
-    parser.add_argument("--node-counts", default="50,75,100")
-    parser.add_argument("--pauses", default="20,40,60,80,100")
-
-
 def _csv_list(text, cast):
     return [cast(part) for part in text.split(",") if part]
-
-
-def _grid_spec(args, **extra):
-    """The SweepSpec of the grid options that _add_grid registers."""
-    return SweepSpec(protocols=_csv_list(args.protocols, str),
-                     node_counts=_csv_list(args.node_counts, int),
-                     pause_times=_csv_list(args.pauses, _parse_pause), **extra)
 
 
 def main(argv=None):
@@ -116,17 +103,18 @@ def main(argv=None):
 
     p_sweep = sub.add_parser("sweep", help="run a full experiment grid")
     _add_common(p_sweep)
-    _add_grid(p_sweep)
+    p_sweep.add_argument("--protocols", default="DSDV,AODV,DSR")
+    p_sweep.add_argument("--node-counts", default="50,75,100")
+    p_sweep.add_argument("--pauses", default="20,40,60,80,100")
     p_sweep.add_argument("--seeds-per-cell", type=int,
                          default=SweepSpec.seeds_per_cell)
     p_sweep.add_argument("--trace-cells", action="store_true",
                          help="write a per-packet trace CSV for every cell")
     p_sweep.add_argument("--quiet", action="store_true")
 
-    p_plot = sub.add_parser("plotdata", help="emit per-figure data files")
+    p_plot = sub.add_parser("plotdata", help="rewrite the files derived from raw.csv")
     p_plot.add_argument("--out", default="results",
-                        help="directory holding raw.csv; .dat files go there too")
-    _add_grid(p_plot)
+                        help="directory holding raw.csv; the files go there too")
 
     p_val = sub.add_parser("validate", help="check a configuration and exit")
     _add_common(p_val)
@@ -162,11 +150,11 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     base = build_config(args)
-    spec = _grid_spec(args, seeds_per_cell=args.seeds_per_cell)
+    spec = SweepSpec(_csv_list(args.protocols, str), _csv_list(args.node_counts, int),
+                     _csv_list(args.pauses, _parse_pause), args.seeds_per_cell)
     progress = None if args.quiet else lambda line: print(line, flush=True)
-    rows, failures = run_sweep(spec, base, args.out,
-                               trace_cells=args.trace_cells, progress=progress)
-    emit_plot_data(rows, spec, args.out)
+    _rows, failures = run_sweep(spec, base, args.out,
+                                trace_cells=args.trace_cells, progress=progress)
     if failures:
         print(f"{len(failures)} cell(s) failed:", file=sys.stderr)
         for label, error in failures:
@@ -179,8 +167,7 @@ def _cmd_plotdata(args):
     raw_path = os.path.join(args.out, "raw.csv")
     if not os.path.exists(raw_path):
         raise ConfigInvalid([f"no raw.csv in {args.out}; run 'sweep' first"])
-    rows = read_raw_csv(raw_path)
-    for path in emit_plot_data(rows, _grid_spec(args), args.out):
+    for path in write_derived(read_raw_csv(raw_path), args.out):
         print(path)
     return 0
 

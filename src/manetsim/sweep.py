@@ -10,7 +10,7 @@ from itertools import repeat
 from typing import List
 
 from .mobility import STATIC
-from .scenario import ConfigInvalid, ScenarioConfig, run_scenario
+from .scenario import PROTOCOL_NAMES, ConfigInvalid, run_scenario
 
 METRIC_NAMES = ("throughput", "pdr", "delay")
 
@@ -81,8 +81,8 @@ def run_sweep(spec, base, out_dir, trace_cells=False, progress=None, jobs=None):
     """Execute every grid cell; returns (rows, failures).
 
     Per-cell failures are recorded and the remaining cells still run.
-    Writes throughput.csv / pdr.csv / delay.csv (wide, mean over seeds),
-    raw.csv (long, per seed) and optional per-cell trace files.
+    Writes raw.csv (long, per seed; rounded, unlike the rows returned), the
+    write_derived files of the rows read back from it, and cell traces.
 
     Cells run in ``jobs`` worker processes, and never more than there are
     cells; with fewer than two they run in this process.  Progress lines
@@ -121,10 +121,9 @@ def run_sweep(spec, base, out_dir, trace_cells=False, progress=None, jobs=None):
             if progress:
                 progress(line)
     rows.sort(key=lambda r: (r["protocol"], r["nodes"], r["pause"], r["seed"]))
-    write_raw_csv(rows, os.path.join(out_dir, "raw.csv"))
-    for metric in METRIC_NAMES:
-        write_metric_table(rows, spec, metric,
-                           os.path.join(out_dir, f"{metric}.csv"))
+    raw_path = os.path.join(out_dir, "raw.csv")
+    write_raw_csv(rows, raw_path)
+    write_derived(read_raw_csv(raw_path), out_dir)
     return rows, failures
 
 
@@ -165,12 +164,29 @@ def _fmt(value, metric):
     return f"{value:.6f}"
 
 
+def _parse_protocol(text):
+    # As ScenarioConfig accepts it: one of PROTOCOL_NAMES, in any case.
+    if text.upper() not in PROTOCOL_NAMES:
+        raise ValueError(text)
+    return text
+
+
+def _parse_metric(text):
+    return float(text) if text else None
+
+
+# raw.csv's columns, in order, and how read_raw_csv parses each.
+_RAW_COLUMNS = {
+    "protocol": _parse_protocol, "nodes": int, "pause": _parse_pause, "seed": int,
+    "throughput": _parse_metric, "pdr": _parse_metric, "delay": _parse_metric,
+    "control_bytes": int, "packets_sent": int, "packets_received": int,
+}
+
+
 def write_raw_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["protocol", "nodes", "pause", "seed", "throughput",
-                         "pdr", "delay", "control_bytes", "packets_sent",
-                         "packets_received"])
+        writer.writerow(_RAW_COLUMNS)
         for r in rows:
             writer.writerow([
                 r["protocol"], r["nodes"], _pause_label(r["pause"]), r["seed"],
@@ -178,6 +194,26 @@ def write_raw_csv(rows, path):
                 _fmt(r["delay"], "delay"), r["control_bytes"],
                 r["packets_sent"], r["packets_received"],
             ])
+
+
+def read_raw_csv(path):
+    """The rows of a raw.csv; ConfigInvalid names each value that does not parse."""
+    rows, errors = [], []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        if reader.fieldnames != list(_RAW_COLUMNS):
+            raise ConfigInvalid([f"{path}: header is not {','.join(_RAW_COLUMNS)}"])
+        for r in reader:
+            row = {}
+            for name, parse in _RAW_COLUMNS.items():
+                try:
+                    row[name] = parse(r[name])
+                except ValueError:
+                    errors.append(f"{path}:{reader.line_num}: bad {name} {r[name]!r}")
+            rows.append(row)
+    if errors:
+        raise ConfigInvalid(errors)
+    return rows
 
 
 def cell_mean(rows, protocol, nodes, pause, metric):
@@ -190,58 +226,34 @@ def cell_mean(rows, protocol, nodes, pause, metric):
     return sum(values) / len(values)
 
 
-def write_metric_table(rows, spec, metric, path):
-    """Wide table shaped like the comparison tables: one row per pause
-    time, one column per protocol x node-count pair."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["pause"]
-        for protocol in spec.protocols:
-            for nodes in spec.node_counts:
-                header.append(f"{protocol}_{nodes}")
-        writer.writerow(header)
-        for pause in spec.pause_times:
-            row = [_pause_label(pause)]
-            for protocol in spec.protocols:
-                for nodes in spec.node_counts:
-                    row.append(_fmt(cell_mean(rows, protocol, nodes, pause,
-                                              metric), metric))
-            writer.writerow(row)
-
-
-def emit_plot_data(rows, spec, out_dir):
-    """One whitespace-delimited file per (metric, node_count): column 1 is
-    the pause time, then one column per protocol."""
-    os.makedirs(out_dir, exist_ok=True)
+def write_derived(rows, out_dir):
+    """Write, and return the paths of, the files derived from raw.csv's rows:
+    per metric a wide table <metric>.csv (a row per pause, a column per
+    protocol x node count) and plot data fig_<metric>_<nodes>.dat (the pause,
+    a column per protocol).  Each value is a cell_mean ("" in a table and nan
+    in plot data without one).  The axes are the rows' values: protocols in
+    PROTOCOL_NAMES order, node counts and pauses ascending (static last)."""
+    protocols = sorted({r["protocol"] for r in rows},
+                       key=lambda p: (PROTOCOL_NAMES.index(p.upper()), p))
+    node_counts = sorted({r["nodes"] for r in rows})
+    pauses = sorted({r["pause"] for r in rows})
+    columns = [(p, n) for p in protocols for n in node_counts]
     paths = []
     for metric in METRIC_NAMES:
-        for nodes in spec.node_counts:
-            path = os.path.join(out_dir, f"fig_{metric}_{nodes}.dat")
-            with open(path, "w") as fh:
-                fh.write("# pause " + " ".join(spec.protocols) + "\n")
-                for pause in spec.pause_times:
-                    cells = [cell_mean(rows, p, nodes, pause, metric)
-                             for p in spec.protocols]
-                    cols = [(_fmt(c, metric) or "nan") for c in cells]
+        means = {(p, n, pause): _fmt(cell_mean(rows, p, n, pause, metric), metric)
+                 for p, n in columns for pause in pauses}
+        paths.append(os.path.join(out_dir, f"{metric}.csv"))
+        with open(paths[-1], "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["pause"] + [f"{p}_{n}" for p, n in columns])
+            for pause in pauses:
+                writer.writerow([_pause_label(pause)]
+                                + [means[p, n, pause] for p, n in columns])
+        for n in node_counts:
+            paths.append(os.path.join(out_dir, f"fig_{metric}_{n}.dat"))
+            with open(paths[-1], "w") as fh:
+                fh.write("# pause " + " ".join(protocols) + "\n")
+                for pause in pauses:
+                    cols = [means[p, n, pause] or "nan" for p in protocols]
                     fh.write(f"{_pause_label(pause)} " + " ".join(cols) + "\n")
-            paths.append(path)
     return paths
-
-
-def read_raw_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            rows.append({
-                "protocol": r["protocol"],
-                "nodes": int(r["nodes"]),
-                "pause": _parse_pause(r["pause"]),
-                "seed": int(r["seed"]),
-                "throughput": float(r["throughput"]) if r["throughput"] else None,
-                "pdr": float(r["pdr"]) if r["pdr"] else None,
-                "delay": float(r["delay"]) if r["delay"] else None,
-                "control_bytes": int(r["control_bytes"]),
-                "packets_sent": int(r["packets_sent"]),
-                "packets_received": int(r["packets_received"]),
-            })
-    return rows

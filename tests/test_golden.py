@@ -2,11 +2,12 @@
 
 The grid is every protocol x {20, 40} nodes x pauses {0, 20, static} with
 the realistic MAC, swept with per-cell traces, plus one ideal-MAC cell per
-protocol on a fixed placement.  Any change to an output byte of ``raw.csv``
-or of a trace fails the test.  The radio's counters (``Radio.stats``) do
-not reach those outputs, so the counters of the 40-node pause-0 cells are
-locked as well, with one more such cell per protocol on slow, fast-moving
-links (SLOW), where frames also arrive after their receiver left range.
+protocol on a fixed placement.  Any change to an output byte of ``raw.csv``,
+of a trace, or of the grid's tables and plot data files fails the test.
+The radio's counters (``Radio.stats``) do not reach those outputs, so the
+counters of the 40-node pause-0 cells are locked as well, with one more
+such cell per protocol on slow, fast-moving links (SLOW), where frames
+also arrive after their receiver left range.
 The movement traces (``movement.csv``) of 20-node runs at every pause are
 locked under MOVE_KEY, so that the writer of that file can change without
 changing its bytes.  Under WIDE_KEY, the ``raw.csv`` of one 70-node cell
@@ -90,7 +91,8 @@ def _movement_cells(out):
 
 
 def golden_outputs(out_dir):
-    """{output file name: sha256} for the grid and the fixed cells, plus
+    """{output file name: sha256} for the grid (raw.csv, traces, tables and
+    plot data) and the fixed cells, plus
     under STATS_KEY {cell: radio counters} of the 40-node pause-0 cells
     of the grid and of SLOW, under MOVE_KEY {cell: sha256} of the
     movement traces, and under WIDE_KEY the sha256 of the raw.csv of
@@ -113,8 +115,7 @@ def golden_outputs(out_dir):
             run_scenario(dataclasses.replace(SLOW, protocol=protocol))
     assert failures == []
     _fixed_cells(out)
-    outputs = {p.name: _sha256(p) for p in sorted(out.glob("*.csv"))
-               if p.name.startswith(("raw", "trace_"))}
+    outputs = {p.name: _sha256(p) for p in sorted(out.iterdir())}
     outputs[STATS_KEY] = {cell: dict(sorted(counts.items()))
                           for cell, counts in sorted(stats.items())}
     outputs[MOVE_KEY] = _movement_cells(out)

@@ -4,6 +4,7 @@ import gc
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from itertools import product
@@ -19,8 +20,7 @@ from manetsim.metrics import read_trace_csv
 from manetsim.mobility import STATIC, FixedPositions
 from manetsim.scenario import (MAC_MODES, PROTOCOL_NAMES, ConfigInvalid,
                                ScenarioConfig, run_scenario)
-from manetsim.sweep import (SweepSpec, cell_mean, emit_plot_data,
-                            read_raw_csv, run_sweep)
+from manetsim.sweep import SweepSpec, cell_mean, read_raw_csv, run_sweep
 
 FAST = dict(node_count=12, n_flows=3, sim_time=12.0, warmup=4.0, seed=7,
             mac_mode="ideal", pause_time=STATIC)
@@ -220,9 +220,9 @@ def test_sweep_writes_tables(small_sweep):
     for name in ("raw.csv", "throughput.csv", "pdr.csv", "delay.csv"):
         assert (out / name).exists()
     pdr = (out / "pdr.csv").read_text().splitlines()
-    assert pdr[0] == "pause,AODV_12,DSDV_12"
-    assert pdr[1].startswith("static,")
-    assert pdr[2].startswith("5,")
+    assert pdr[0] == "pause,DSDV_12,AODV_12"     # PROTOCOL_NAMES order
+    assert pdr[1].startswith("5,")
+    assert pdr[2].startswith("static,")
 
 
 def test_raw_csv_round_trip(small_sweep):
@@ -246,12 +246,36 @@ def test_cell_mean_averages_over_seeds(small_sweep):
 
 def test_plot_data_files(small_sweep):
     spec, rows, _, out = small_sweep
-    paths = emit_plot_data(rows, spec, str(out))
-    assert len(paths) == 3 * 1  # 3 metrics x 1 node count
+    assert len(list(out.glob("fig_*.dat"))) == 3 * 1  # 3 metrics x 1 node count
     lines = (out / "fig_pdr_12.dat").read_text().splitlines()
-    assert lines[0] == "# pause AODV DSDV"
-    assert lines[1].split()[0] == "static"
+    assert lines[0] == "# pause DSDV AODV"
+    assert lines[1].split()[0] == "5"
+    assert lines[2].split()[0] == "static"
     assert len(lines) == 3
+
+
+def test_a_missing_cell_is_blank_in_tables_and_nan_in_plot_data(tmp_path, monkeypatch):
+    """A cell without a row, whose protocol, node count and pause other
+    cells hold, keeps its place in every file."""
+    def run_or_raise(config, **kwargs):
+        if (config.protocol, config.node_count) == ("AODV", 16):
+            raise SchedulingInPast("event at -1 before now 0")
+        return run_scenario(config, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_scenario", run_or_raise)
+    spec = SweepSpec(protocols=["AODV", "DSR"], node_counts=[12, 16],
+                     pause_times=[STATIC], seeds_per_cell=1)
+    rows, failures = run_sweep(spec, ScenarioConfig(**FAST), str(tmp_path), jobs=1)
+    assert [label for label, _ in failures] == ["AODV-n16-pstatic-s7"]
+    assert len(rows) == 3
+    pdr = (tmp_path / "pdr.csv").read_text().splitlines()
+    assert pdr[0] == "pause,AODV_12,AODV_16,DSR_12,DSR_16"
+    assert pdr[1].split(",")[2] == ""
+    assert all(pdr[1].split(",")[i] for i in (1, 3, 4))
+    fig = (tmp_path / "fig_pdr_16.dat").read_text().splitlines()
+    assert fig[0] == "# pause AODV DSR"
+    static, aodv, dsr = fig[1].split()
+    assert (static, aodv) == ("static", "nan") and float(dsr) > 0
 
 
 def test_sweep_records_per_cell_failures(tmp_path):
@@ -320,8 +344,11 @@ def test_parallel_sweep_matches_a_serial_one(tmp_path):
                          "[1, node_count/2], got 3")]
     assert [line.split(":")[0] for line in lines] == \
         ["DSR-n12-p5-s7", "DSR-n4-p5-s7", "DSR-n16-p5-s7"]
-    assert sorted(files) == ["delay.csv", "pdr.csv", "raw.csv", "throughput.csv",
-                             "trace_DSR-n12-p5-s7.csv", "trace_DSR-n16-p5-s7.csv"]
+    assert sorted(files) == [
+        "delay.csv", *(f"fig_{m}_{n}.dat" for m in ("delay", "pdr", "throughput")
+                       for n in (12, 16)),
+        "pdr.csv", "raw.csv", "throughput.csv",
+        "trace_DSR-n12-p5-s7.csv", "trace_DSR-n16-p5-s7.csv"]
 
 
 # -- CLI ----------------------------------------------------------------
@@ -355,9 +382,56 @@ def test_cli_sweep_and_plotdata(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "raw.csv").exists()
     assert (tmp_path / "fig_delay_12.dat").exists()
-    code = main(["plotdata", "--protocols", "AODV", "--node-counts", "12",
-                 "--pauses", "static", "--out", str(tmp_path)])
+    code = main(["plotdata", "--out", str(tmp_path)])
     assert code == 0
+    assert capsys.readouterr().out.split() == [
+        str(tmp_path / name) for m in ("throughput", "pdr", "delay")
+        for name in (f"{m}.csv", f"fig_{m}_12.dat")]
+
+
+def test_plotdata_writes_the_bytes_of_the_sweep(tmp_path, capsys):
+    """plotdata on a copy of a sweep's raw.csv rewrites every table and
+    plot data file of the sweep, byte for byte, and no other file.  On
+    this grid the mean delay of a cell over its unrounded values differs
+    in the last digit from the mean over raw.csv's rounded ones."""
+    sweep_dir, copy = tmp_path / "sweep", tmp_path / "copy"
+    code = main(["sweep", "--protocols", "AODV,DSR,DSDV", "--node-counts", "12",
+                 "--pauses", "5,static", "--seeds-per-cell", "3", "--mac", "ideal",
+                 "--config", _fast_cfg(tmp_path), "--quiet", "--out", str(sweep_dir)])
+    assert code == 0
+    copy.mkdir()
+    shutil.copy(sweep_dir / "raw.csv", copy)
+    assert main(["plotdata", "--out", str(copy)]) == 0
+    swept = {p.name: p.read_bytes() for p in sweep_dir.iterdir()}
+    assert sorted(swept) == sorted(p.name for p in copy.iterdir())
+    assert len(swept) == 1 + 3 + 3      # raw.csv, 3 tables, 3 .dat files at 12 nodes
+    for name, data in swept.items():
+        assert (copy / name).read_bytes() == data, name
+    assert (copy / "fig_pdr_12.dat").read_text().splitlines()[0] == \
+        "# pause DSDV AODV DSR"
+
+
+RAW_HEADER = ("protocol,nodes,pause,seed,throughput,pdr,delay,control_bytes,"
+              "packets_sent,packets_received")
+
+
+@pytest.mark.parametrize("text, error", [
+    (f"{RAW_HEADER}\nOSPF,12,static,7,1.00,1.000000,0.100000,10,5,5\n",
+     ":2: bad protocol 'OSPF'"),
+    (f"{RAW_HEADER}\nAODV,twelve,static,7,1.00,1.000000,0.100000,10,5,5\n",
+     ":2: bad nodes 'twelve'"),
+    (f"{RAW_HEADER}\nAODV,12,static,7,1.00,1.0.0,0.100000,10,5,5\n",
+     ":2: bad pdr '1.0.0'"),
+    ("protocol,nodes,pause\nAODV,12,static\n", ": header is not " + RAW_HEADER)],
+    ids=["protocol", "nodes", "pdr", "columns"])
+def test_cli_plotdata_rejects_a_bad_raw_csv(tmp_path, capsys, text, error):
+    """raw.csv comes from outside the program: a bad one is a config
+    error, and plotdata writes nothing."""
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text)
+    assert main(["plotdata", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {raw}{error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv"]
 
 
 def test_cli_sweep_rejects_an_empty_grid(tmp_path, capsys):

@@ -53,6 +53,12 @@ ALLOWED = {
         "raises the errors of validate()", HARNESS + "test_cli_sweep_rejects_an_empty_grid"),
     ("cli.py", "_cmd_plotdata"): (
         "plotdata before any sweep", HARNESS + "test_cli_plotdata_needs_a_sweep"),
+    ("sweep.py", "read_raw_csv"): (
+        "a raw.csv that write_raw_csv could not have written",
+        HARNESS + "test_cli_plotdata_rejects_a_bad_raw_csv"),
+    ("sweep.py", "_parse_protocol"): (
+        "a protocol in raw.csv that is not one of PROTOCOL_NAMES",
+        HARNESS + "test_cli_plotdata_rejects_a_bad_raw_csv"),
     ("cli.py", "load_config_file"): (
         "the --config file, which the CI commands do not pass",
         HARNESS + "test_config_file_*"),
@@ -60,9 +66,6 @@ ALLOWED = {
         "types the values of a --config file", HARNESS + "test_config_file_parsing"),
     ("cli.py", "build_config"): (
         "reads a --config file", HARNESS + "test_cli_run_prints_metrics"),
-    ("sweep.py", "_parse_pause"): (
-        "a pause of 'static' on the command line or in raw.csv",
-        HARNESS + "test_cli_sweep_and_plotdata"),
     ("engine.py", "Simulator.schedule"): (
         "refuses an event in the past; benchmark/tracer.py also patches "
         "schedule(Event) by name (ROADMAP item 1)",
@@ -90,9 +93,11 @@ ALLOWED = {
         "a failed cell's entry, and progress lines, which --quiet turns off",
         HARNESS + "test_sweep_records_per_cell_failures"),
     ("sweep.py", "cell_mean"): (
-        "a cell without a value", HARNESS + "test_sweep_records_per_cell_failures"),
+        "a cell without a value",
+        HARNESS + "test_a_missing_cell_is_blank_in_tables_and_nan_in_plot_data"),
     ("sweep.py", "_fmt"): (
-        "a missing value", HARNESS + "test_sweep_records_per_cell_failures"),
+        "a missing value",
+        HARNESS + "test_a_missing_cell_is_blank_in_tables_and_nan_in_plot_data"),
     ("cli.py", "_cmd_sweep"): (
         "a sweep with a failing cell", HARNESS + "test_cli_sweep_failed_cell_exit_code"),
     ("traffic.py", "TrafficGenerator._tick"): (
@@ -118,17 +123,17 @@ ALLOWED = {
 }
 
 # The Console script step of .github/workflows/tests.yml, with its exit
-# codes; {out} is a temporary directory.
-GRID = ["--protocols", "AODV,DSR", "--node-counts", "20", "--pauses", "20"]
+# codes; {out} is a temporary directory.  CI's plotdata reads a copy of the
+# sweep's raw.csv; this one reads the same bytes in place.
 CLI_COMMANDS = [
     (["validate"], 0),
     (["run", "--nodes", "20", "--sim-time", "15", "--out", "{out}/run"], 0),
     (["run", "--nodes", "20", "--sim-time", "15", "--trace", "--move-trace",
       "--move-trace-interval", "5", "--out", "{out}/traced"], 0),
     (["run", "--move-trace", "--move-trace-interval", "0", "--out", "{out}/zero"], 1),
-    (["sweep", *GRID, "--seeds-per-cell", "1", "--sim-time", "15", "--quiet",
-      "--out", "{out}/sweep"], 0),
-    (["plotdata", *GRID, "--out", "{out}/sweep"], 0),
+    (["sweep", "--protocols", "AODV,DSR", "--node-counts", "20", "--pauses", "20",
+      "--seeds-per-cell", "1", "--sim-time", "15", "--quiet", "--out", "{out}/sweep"], 0),
+    (["plotdata", "--out", "{out}/sweep"], 0),
 ]
 
 # Code objects that belong to the function around them.
