@@ -15,7 +15,8 @@ import os
 import sys
 from dataclasses import fields
 
-from .scenario import ConfigInvalid, ScenarioConfig, run_scenario
+from .scenario import (MAC_MODES, PROTOCOL_NAMES, ConfigInvalid, ScenarioConfig,
+                       run_scenario)
 from .sweep import SweepSpec, _parse_pause, read_raw_csv, run_sweep, write_derived
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
@@ -71,12 +72,12 @@ def build_config(args):
 
 def _add_common(parser):
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--protocol", choices=["DSDV", "AODV", "DSR"])
+    parser.add_argument("--protocol", choices=PROTOCOL_NAMES)
     parser.add_argument("--nodes", type=int)
     parser.add_argument("--pause", help="pause time in seconds, or 'static'")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--sim-time", type=float, dest="sim_time")
-    parser.add_argument("--mac", choices=["realistic", "ideal"])
+    parser.add_argument("--mac", choices=MAC_MODES)
     parser.add_argument("--out", default="results", help="output directory")
 
 

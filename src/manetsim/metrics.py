@@ -1,8 +1,10 @@
 """Per-packet trace collection and the three comparison metrics.
 
-All metrics are pure functions of the trace: recomputing from a trace
-serialized to CSV reproduces the same numbers bit-exactly (timestamps are
-integer microseconds, which survive the 6-decimal CSV round trip).
+``summarize`` is the one definition of throughput, packet delivery ratio
+and average end-to-end delay, a pure function of a trace's records.
+Timestamps are integer microseconds, so the 6-decimal times of trace.csv
+give them back exactly.  trace.csv has no size column: a reader that
+recomputes throughput from it takes the packet size from the run's config.
 """
 
 import csv
@@ -13,20 +15,13 @@ from typing import Optional
 from .engine import US_PER_S
 
 
-class NoTraffic(Exception):
-    pass
-
-
-class NothingReceived(Exception):
-    pass
-
-
 class PacketTrace:
     """One record per generated application packet, plus control-byte
     counters keyed by protocol message kind."""
 
     def __init__(self):
-        self.records = {}  # (flow_id, seq) -> [generated_us, received_us | None, hops]
+        # (flow_id, seq) -> [generated_us, received_us | None, hops, size]
+        self.records = {}
         self.control_bytes = Counter()
         self.drops = Counter()
 
@@ -48,14 +43,6 @@ class PacketTrace:
     def record_drop(self, reason):
         self.drops[reason] += 1
 
-    @property
-    def packets_sent(self):
-        return len(self.records)
-
-    @property
-    def packets_received(self):
-        return sum(1 for rec in self.records.values() if rec[1] is not None)
-
     def window(self, start_us, end_us):
         """Sub-trace of packets generated in [start_us, end_us)."""
         out = PacketTrace()
@@ -64,34 +51,6 @@ class PacketTrace:
         out.control_bytes = Counter(self.control_bytes)
         out.drops = Counter(self.drops)
         return out
-
-
-def compute_pdr(trace):
-    """Packet delivery ratio in percent: 100 * received / sent."""
-    sent = trace.packets_sent
-    if sent == 0:
-        raise NoTraffic("no packets generated")
-    return 100.0 * trace.packets_received / sent
-
-
-def compute_throughput(trace):
-    """Delivered bits over the span from first generation to last reception."""
-    received = [rec for rec in trace.records.values() if rec[1] is not None]
-    if not received:
-        raise NothingReceived("no packet was delivered")
-    first_gen = min(rec[0] for rec in trace.records.values())
-    last_recv = max(rec[1] for rec in received)
-    span_s = (last_recv - first_gen) / US_PER_S
-    total_bits = sum(rec[3] for rec in received) * 8
-    return total_bits / span_s
-
-
-def compute_avg_delay(trace):
-    """Mean end-to-end delay in seconds over delivered packets only."""
-    delays = [rec[1] - rec[0] for rec in trace.records.values() if rec[1] is not None]
-    if not delays:
-        raise NothingReceived("no packet was delivered")
-    return sum(delays) / len(delays) / US_PER_S
 
 
 @dataclass(slots=True)
@@ -107,18 +66,25 @@ class MetricsRecord:
 
 
 def summarize(trace):
-    """Build a MetricsRecord; a trace with zero deliveries yields
-    throughput 0 and delay None rather than raising."""
-    sent = trace.packets_sent
-    pdr = compute_pdr(trace) if sent else 0.0
+    """The MetricsRecord of a trace: PDR in percent (0 without traffic);
+    throughput, delivered bits over the span from the first generation to
+    the last reception (0 without a delivery); mean delay in seconds of the
+    delivered packets (None without one).  control_bytes is the whole
+    run's, also for a window, which copies the run's counter."""
+    records = trace.records.values()
+    delivered = [rec for rec in records if rec[1] is not None]
+    sent = len(records)
+    received = len(delivered)
+    pdr = 100.0 * received / sent if sent else 0.0
     control = sum(trace.control_bytes.values())
-    try:
-        tput = compute_throughput(trace)
-        delay = compute_avg_delay(trace)
-    except NothingReceived:
-        tput = 0.0
-        delay = None
-    return MetricsRecord(tput, pdr, delay, control, sent, trace.packets_received)
+    if not delivered:
+        return MetricsRecord(0.0, pdr, None, control, sent, received)
+    first_gen = min(rec[0] for rec in records)
+    last_recv = max(rec[1] for rec in delivered)
+    bits = sum(rec[3] for rec in delivered) * 8
+    throughput = bits / ((last_recv - first_gen) / US_PER_S)
+    delay = sum(rec[1] - rec[0] for rec in delivered) / received / US_PER_S
+    return MetricsRecord(throughput, pdr, delay, control, sent, received)
 
 
 def write_trace_csv(trace, path):
@@ -126,24 +92,6 @@ def write_trace_csv(trace, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["flow", "seq", "generated_at", "received_at", "hops"])
-        for (flow, seq) in sorted(trace.records):
-            gen, recv, hops, _size = trace.records[(flow, seq)]
-            writer.writerow([
-                flow, seq, f"{gen / US_PER_S:.6f}",
-                "" if recv is None else f"{recv / US_PER_S:.6f}",
-                hops,
-            ])
-
-
-def read_trace_csv(path, packet_size):
-    trace = PacketTrace()
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            flow = int(row["flow"])
-            seq = int(row["seq"])
-            gen = int(round(float(row["generated_at"]) * US_PER_S))
-            trace.record_generated(flow, seq, gen, packet_size)
-            if row["received_at"]:
-                recv = int(round(float(row["received_at"]) * US_PER_S))
-                trace.record_received(flow, seq, recv, int(row["hops"]))
-    return trace
+        for (flow, seq), (gen, recv, hops, _size) in sorted(trace.records.items()):
+            writer.writerow([flow, seq, f"{gen / US_PER_S:.6f}",
+                             "" if recv is None else f"{recv / US_PER_S:.6f}", hops])

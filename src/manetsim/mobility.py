@@ -54,8 +54,6 @@ class RandomWaypoint:
         self.max_speed = max_speed
         start = init_positions(node_count, RngStream(seed, "mobility:init"),
                                width, height)
-        self._memo_t = -1
-        self._memo_xy = None
         self._pause_us = int(round(pause_time * US_PER_S))
         self._rngs = [RngStream(seed, f"mobility:{i}") for i in range(node_count)]
         # Leg endpoints as (2, node_count) arrays of x and y rows; _x0 and
@@ -112,8 +110,6 @@ class RandomWaypoint:
                     self._new_leg(i, end)
 
     def _eval(self, t_us):
-        if t_us == self._memo_t:
-            return
         if t_us >= self.next_transition:
             ended = np.flatnonzero(self._t1 <= t_us)
             for i in ended:
@@ -122,23 +118,18 @@ class RandomWaypoint:
             self.legs[ended] += 1
             self.next_transition = int(self._t1.min())
             self._leg_deltas()
-        frac = (t_us - self._t0) / self._dt
-        self._memo_xy = self._p0 + self._d * frac
-        self._memo_t = t_us
+        return self._p0 + self._d * ((t_us - self._t0) / self._dt)
 
     def positions_xy(self, t_us):
         """Positions of all nodes at t_us as a (2, node_count) array of x
         and y rows; it unpacks as ``xs, ys``."""
-        self._eval(t_us)
-        return self._memo_xy
+        return self._eval(t_us)
 
     def position(self, node, t_us):
-        self._eval(t_us)
-        return tuple(self._memo_xy[:, node].tolist())
+        return tuple(self._eval(t_us)[:, node].tolist())
 
     def positions(self, t_us):
-        self._eval(t_us)
-        return list(zip(*self._memo_xy.tolist()))
+        return list(zip(*self._eval(t_us).tolist()))
 
 
 class FixedPositions:
@@ -178,7 +169,7 @@ def write_movement_trace(path, mobility, end_us, interval_us):
         fh.write("time,node,x,y\n")
         t = 0
         while t <= end_us:
-            for node in range(mobility.node_count):
-                x, y = mobility.position(node, t)
+            xs, ys = mobility.positions_xy(t).tolist()
+            for node, (x, y) in enumerate(zip(xs, ys)):
                 fh.write(f"{t / US_PER_S:.6f},{node},{x:.3f},{y:.3f}\n")
             t += interval_us

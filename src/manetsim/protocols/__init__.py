@@ -12,7 +12,7 @@ PROTOCOLS = {
 
 def make_router(name, node_id, sim, radio, trace, rng):
     """The router of protocol name, which ScenarioConfig.check has accepted."""
-    return PROTOCOLS[name.upper()](node_id, sim, radio, trace, rng)
+    return PROTOCOLS[name](node_id, sim, radio, trace, rng)
 
 
 __all__ = ["RoutingProtocol", "DsdvRouter", "AodvRouter", "DsrRouter",

@@ -54,7 +54,7 @@ class ScenarioConfig:
 
     def validate(self):
         errors = []
-        if self.protocol.upper() not in PROTOCOL_NAMES:
+        if self.protocol not in PROTOCOL_NAMES:
             errors.append(f"protocol must be one of {PROTOCOL_NAMES}, got {self.protocol!r}")
         if self.node_count < 2:
             errors.append(f"node_count must be >= 2, got {self.node_count}")

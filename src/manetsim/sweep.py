@@ -4,6 +4,7 @@ tables and plot-ready data files."""
 import contextlib
 import csv
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -13,6 +14,8 @@ from .mobility import STATIC
 from .scenario import PROTOCOL_NAMES, ConfigInvalid, run_scenario
 
 METRIC_NAMES = ("throughput", "pdr", "delay")
+# The name of a plot data file that write_derived writes.
+_FIGURE = re.compile(rf"fig_({'|'.join(METRIC_NAMES)})_\d+\.dat")
 
 # A sweep's workers are forked where that was measured: on Linux (which
 # has os.sched_getaffinity) before Python 3.12.  Spawned workers import
@@ -41,6 +44,9 @@ class SweepSpec:
         errors = []
         if not self.protocols:
             errors.append("protocols list must be non-empty")
+        if len(set(self.protocols) & set(PROTOCOL_NAMES)) < len(self.protocols):
+            errors.append(f"protocols must be distinct names among {PROTOCOL_NAMES}, "
+                          f"got {self.protocols}")
         if not self.node_counts:
             errors.append("node_counts list must be non-empty")
         if not self.pause_times:
@@ -165,8 +171,7 @@ def _fmt(value, metric):
 
 
 def _parse_protocol(text):
-    # As ScenarioConfig accepts it: one of PROTOCOL_NAMES, in any case.
-    if text.upper() not in PROTOCOL_NAMES:
+    if text not in PROTOCOL_NAMES:
         raise ValueError(text)
     return text
 
@@ -232,9 +237,13 @@ def write_derived(rows, out_dir):
     protocol x node count) and plot data fig_<metric>_<nodes>.dat (the pause,
     a column per protocol).  Each value is a cell_mean ("" in a table and nan
     in plot data without one).  The axes are the rows' values: protocols in
-    PROTOCOL_NAMES order, node counts and pauses ascending (static last)."""
-    protocols = sorted({r["protocol"] for r in rows},
-                       key=lambda p: (PROTOCOL_NAMES.index(p.upper()), p))
+    PROTOCOL_NAMES order, node counts and pauses ascending (static last).
+    The plot data files already in out_dir go first, so that none is left
+    of a node count the rows do not hold."""
+    for name in os.listdir(out_dir):
+        if _FIGURE.fullmatch(name):
+            os.remove(os.path.join(out_dir, name))
+    protocols = sorted({r["protocol"] for r in rows}, key=PROTOCOL_NAMES.index)
     node_counts = sorted({r["nodes"] for r in rows})
     pauses = sorted({r["pause"] for r in rows})
     columns = [(p, n) for p in protocols for n in node_counts]

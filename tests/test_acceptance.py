@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from manetsim.engine import RngStream, to_us
-from manetsim.metrics import (NoTraffic, PacketTrace, compute_avg_delay,
-                              compute_pdr, compute_throughput, summarize)
+from manetsim.metrics import MetricsRecord, PacketTrace, summarize
 from manetsim.mobility import STATIC, FixedPositions
 from manetsim.protocols import aodv, dsr, make_router
 from manetsim.protocols.aodv import AodvEntry, Rreq
@@ -99,7 +98,7 @@ def test_criterion_1_static_network_oracle(capsys):
         dist = {src: _bfs_dist(adj, src) for src in range(len(positions))}
         for protocol in ("DSDV", "AODV", "DSR"):
             windowed, flows = _run_static(protocol, positions, seed=topo + 1)
-            pdr = compute_pdr(windowed)
+            pdr = summarize(windowed).pdr
             if pdr != 100.0:
                 problems.append(f"{protocol} topo {topo}: pdr {pdr:.2f}")
                 continue
@@ -332,21 +331,21 @@ def test_criterion_9_metric_examples(capsys):
         t.record_generated(0, seq, 0, 512)
     for seq in range(4):
         t.record_received(0, seq, 1000, 1)
-    if compute_pdr(t) != 80.0:
+    if summarize(t).pdr != 80.0:
         problems.append("pdr 4/5")
-    with pytest.raises(NoTraffic):
-        compute_pdr(PacketTrace())
+    if summarize(PacketTrace()) != MetricsRecord(0.0, 0.0, None, 0, 0, 0):
+        problems.append("summarize without traffic")
 
     t = PacketTrace()
     t.record_generated(0, 0, 0, 512)
     t.record_received(0, 0, US, 1)
-    if compute_throughput(t) != 4096.0:
+    if summarize(t).throughput != 4096.0:
         problems.append("throughput 512B/1s")
 
     t = PacketTrace()
     t.record_generated(0, 0, 0, 512)
     t.record_received(0, 0, 3048, 1)
-    if compute_avg_delay(t) != 0.003048:
+    if summarize(t).avg_e2e_delay != 0.003048:
         problems.append("delay from constants")
 
     # the same figure from an actual 1-hop ideal-MAC exchange, once the
@@ -357,7 +356,7 @@ def test_criterion_9_metric_examples(capsys):
     net.send(0, 1)
     net.run(2)
     settled = net.trace.window(1 * US, 2 * US)
-    if compute_avg_delay(settled) != 0.003048:
+    if summarize(settled).avg_e2e_delay != 0.003048:
         problems.append("delay end-to-end")
 
     empty = PacketTrace()

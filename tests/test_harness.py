@@ -16,7 +16,6 @@ import manetsim
 import manetsim.sweep as sweep
 from manetsim.cli import load_config_file, main
 from manetsim.engine import SchedulingInPast
-from manetsim.metrics import read_trace_csv
 from manetsim.mobility import STATIC, FixedPositions
 from manetsim.scenario import (MAC_MODES, PROTOCOL_NAMES, ConfigInvalid,
                                ScenarioConfig, run_scenario)
@@ -64,6 +63,15 @@ def test_validation_rejects_areas_crossed_in_under_a_millisecond():
     assert ScenarioConfig(max_speed=100.0, **tiny).validate()
     assert ScenarioConfig(max_speed=10.0, **tiny).validate() == []
     assert ScenarioConfig(max_speed=100.0, pause_time=STATIC, **tiny).validate() == []
+
+
+def test_validation_takes_protocol_names_as_spelled():
+    """A protocol name in another case is refused, so that one protocol
+    has one name in cell labels, trace file names and raw.csv."""
+    for name in PROTOCOL_NAMES:
+        assert ScenarioConfig(protocol=name).validate() == []
+        assert ScenarioConfig(protocol=name.lower()).validate() == [
+            f"protocol must be one of {PROTOCOL_NAMES}, got {name.lower()!r}"]
 
 
 def test_static_pause_is_accepted():
@@ -192,8 +200,7 @@ def test_run_scenario_writes_traces(tmp_path):
     config = ScenarioConfig(**FAST)
     record, trace = run_scenario(config, trace_path=str(trace_path),
                                  move_trace_path=str(move_path))
-    back = read_trace_csv(trace_path, config.packet_size)
-    assert back.packets_sent == trace.packets_sent
+    assert len(trace_path.read_text().splitlines()) == 1 + len(trace.records)
     assert move_path.read_text().startswith("time,node,x,y\n")
 
 
@@ -295,12 +302,30 @@ def test_sweep_records_per_cell_failures(tmp_path):
     ("protocols", [], "protocols list must be non-empty"),
     ("node_counts", [], "node_counts list must be non-empty"),
     ("pause_times", [], "pause_times list must be non-empty"),
-    ("seeds_per_cell", 0, "seeds_per_cell must be >= 1")],
-    ids=["protocols", "node_counts", "pause_times", "seeds_per_cell"])
+    ("seeds_per_cell", 0, "seeds_per_cell must be >= 1"),
+    *(("protocols", names, f"protocols must be distinct names among {PROTOCOL_NAMES}, "
+       f"got {names}") for names in (["aodv"], ["AODV", "aodv"], ["DSR", "DSR"]))],
+    ids=["protocols", "node_counts", "pause_times", "seeds_per_cell",
+         "lower-case-protocol", "protocol-in-two-cases", "repeated-protocol"])
 def test_sweep_spec_validation(field, value, error):
     grid = dict(protocols=["AODV"], node_counts=[12], pause_times=[STATIC])
     assert SweepSpec(**grid).validate() == []
     assert SweepSpec(**dict(grid, **{field: value})).validate() == [error]
+
+
+def test_sweep_replaces_the_plot_data_of_an_earlier_sweep(tmp_path):
+    """A sweep into the directory of an earlier one leaves no plot data
+    file of a node count that its raw.csv does not hold."""
+    spec = SweepSpec(protocols=["AODV"], node_counts=[12], pause_times=[STATIC],
+                     seeds_per_cell=1)
+    (tmp_path / "fig_notes_12.dat").write_text("not a plot data file\n")
+    for nodes in (12, 14):
+        spec.node_counts = [nodes]
+        run_sweep(spec, ScenarioConfig(**FAST), str(tmp_path), jobs=1)
+    assert {r["nodes"] for r in read_raw_csv(tmp_path / "raw.csv")} == {14}
+    assert sorted(p.name for p in tmp_path.glob("fig_*.dat")) == [
+        "fig_delay_14.dat", "fig_notes_12.dat", "fig_pdr_14.dat",
+        "fig_throughput_14.dat"]
 
 
 def test_sweep_failing_cell_stops_only_itself(tmp_path, monkeypatch):
@@ -439,6 +464,18 @@ def test_cli_sweep_rejects_an_empty_grid(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "config error: protocols list must be non-empty\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_rejects_a_protocol_in_another_case(tmp_path, capsys):
+    """aodv is not AODV: the sweep refuses it before it runs a cell or
+    makes its directory."""
+    out = tmp_path / "out"
+    assert main(["sweep", "--protocols", "aodv,AODV", "--node-counts", "20",
+                 "--pauses", "static", "--seeds-per-cell", "1", "--sim-time", "15",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "config error: protocols must be distinct "
+                                   f"names among {PROTOCOL_NAMES}, got ['aodv', 'AODV']\n")
+    assert not out.exists()
 
 
 def test_cli_plotdata_needs_a_sweep(tmp_path, capsys):

@@ -1,12 +1,11 @@
 """Metric definitions and trace serialization round trips."""
 
+import csv
+
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim.metrics import (MetricsRecord, NothingReceived, NoTraffic,
-                              PacketTrace, compute_avg_delay, compute_pdr,
-                              compute_throughput, read_trace_csv, summarize,
-                              write_trace_csv)
+from manetsim.metrics import MetricsRecord, PacketTrace, summarize, write_trace_csv
 
 US = 1_000_000
 
@@ -24,59 +23,56 @@ def make_trace(records):
 def test_pdr_all_delivered():
     trace = make_trace([(0, i, i * 1000, i * 1000 + 3048, 1, 512)
                         for i in range(1000)])
-    assert compute_pdr(trace) == 100.0
+    assert summarize(trace).pdr == 100.0
 
 
 def test_pdr_eighty_percent():
     records = [(0, i, i * 1000, i * 1000 + 3048 if i % 5 else None, 1, 512)
                for i in range(10_000)]
-    assert compute_pdr(make_trace(records)) == 80.0
+    assert summarize(make_trace(records)).pdr == 80.0
 
 
-def test_pdr_no_traffic_raises():
-    with pytest.raises(NoTraffic):
-        compute_pdr(PacketTrace())
+def test_pdr_no_traffic_is_zero():
+    assert summarize(PacketTrace()) == MetricsRecord(0.0, 0.0, None, 0, 0, 0)
 
 
 def test_throughput_single_packet():
     trace = make_trace([(0, 0, 0, US, 1, 512)])
-    assert compute_throughput(trace) == 4096.0
+    assert summarize(trace).throughput == 4096.0
 
 
 def test_throughput_two_packets_same_rate():
     trace = make_trace([(0, 0, 0, US, 1, 512),
                         (0, 1, US, 2 * US, 1, 512)])
-    assert compute_throughput(trace) == 4096.0
+    assert summarize(trace).throughput == 4096.0
 
 
-def test_throughput_nothing_received_raises():
+def test_throughput_nothing_received_is_zero():
     trace = make_trace([(0, 0, 0, None, 0, 512)])
-    with pytest.raises(NothingReceived):
-        compute_throughput(trace)
+    assert summarize(trace).throughput == 0.0
 
 
 def test_avg_delay_mean_of_delays():
     trace = make_trace([(0, 0, 0, 100_000, 1, 512),
                         (0, 1, 0, 300_000, 2, 512)])
-    assert compute_avg_delay(trace) == 0.2
+    assert summarize(trace).avg_e2e_delay == 0.2
 
 
 def test_avg_delay_excludes_lost_packets():
     trace = make_trace([(0, 0, 0, 100_000, 1, 512),
                         (0, 1, 0, None, 0, 512)])
-    assert compute_avg_delay(trace) == 0.1
+    assert summarize(trace).avg_e2e_delay == 0.1
 
 
-def test_avg_delay_nothing_received_raises():
+def test_avg_delay_nothing_received_is_none():
     trace = make_trace([(0, 0, 0, None, 0, 512)])
-    with pytest.raises(NothingReceived):
-        compute_avg_delay(trace)
+    assert summarize(trace).avg_e2e_delay is None
 
 
 def test_one_hop_ideal_delay_constant():
     # One 512 B frame at 2 Mb/s plus 1 ms hop latency: 2048 + 1000 us.
     trace = make_trace([(0, 0, 0, 3048, 1, 512)])
-    assert compute_avg_delay(trace) == 0.003048
+    assert summarize(trace).avg_e2e_delay == 0.003048
 
 
 def test_received_before_generated_asserts():
@@ -135,6 +131,17 @@ def test_metrics_record_equality():
     assert a == b and not (a == c)
 
 
+def trace_from_csv(path, packet_size):
+    """The trace that write_trace_csv wrote to path.  trace.csv has no size
+    column, so every packet gets packet_size."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return make_trace([(int(row["flow"]), int(row["seq"]),
+                        round(float(row["generated_at"]) * US),
+                        round(float(row["received_at"]) * US) if row["received_at"] else None,
+                        int(row["hops"]), packet_size) for row in rows])
+
+
 def test_trace_csv_round_trip_bit_exact(tmp_path):
     for size in (512, 1024):
         trace = make_trace([(0, 0, 123456, 3048 + 123456, 1, size),
@@ -142,7 +149,7 @@ def test_trace_csv_round_trip_bit_exact(tmp_path):
                             (1, 0, 500000, 812345, 3, size)])
         path = tmp_path / f"trace{size}.csv"
         write_trace_csv(trace, path)
-        back = read_trace_csv(path, size)
+        back = trace_from_csv(path, size)
         assert back.records == trace.records
         assert summarize(back.window(0, US)) == summarize(trace.window(0, US))
 
