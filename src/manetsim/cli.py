@@ -2,35 +2,38 @@
 
 Subcommands: run (single scenario), sweep (experiment grid), plotdata
 (tables and figure data from a sweep's raw.csv), validate (config check).
-Exit codes: 0 success, 1 config error, 2 failed sweep cells.
+Exit codes: 0 success, 1 config error, 2 failed sweep cells.  A usage
+error, such as an unknown flag, is a config error.
 
 Config files are line-oriented ``key = value`` text; CLI flags override
-file values.
+file values.  A flag, a config-file value and an item of a sweep's grid
+list take the same text, and _coerce parses all three.
 """
 
 import argparse
 import inspect
-import math
 import os
 import sys
 from dataclasses import fields
 
-from .scenario import (MAC_MODES, PROTOCOL_NAMES, ConfigInvalid, ScenarioConfig,
-                       run_scenario)
-from .sweep import SweepSpec, _parse_pause, read_raw_csv, run_sweep, write_derived
+from .scenario import ConfigInvalid, ScenarioConfig, run_scenario
+from .sweep import (SweepSpec, _parse_pause, _pause_label, read_raw_csv, run_sweep,
+                    write_derived)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+# The flags that run, sweep and validate share, and the field each sets.
+_FLAGS = {"--protocol": "protocol", "--nodes": "node_count", "--pause": "pause_time",
+          "--seed": "seed", "--sim-time": "sim_time", "--mac": "mac_mode"}
 
 
-def _coerce(key, value):
-    if key == "pause_time":
-        return _parse_pause(value)
-    ftype = _FIELD_TYPES[key]
-    if ftype in ("int", int):
-        return int(value)
-    if ftype in ("float", float):
-        return float(value)
-    return str(value)
+def _coerce(key, text, where):
+    """The value of ScenarioConfig field key that text names; where (a
+    file:line or a flag) places the text in a refusal."""
+    parse = _parse_pause if key == "pause_time" else _FIELD_TYPES[key]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigInvalid([f"{where}: bad value {text!r} for {key}"]) from None
 
 
 def load_config_file(path):
@@ -46,47 +49,39 @@ def load_config_file(path):
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in _FIELD_TYPES:
                 raise ConfigInvalid([f"{path}:{lineno}: unknown key {key!r}"])
-            try:
-                values[key] = _coerce(key, value)
-            except ValueError:
-                raise ConfigInvalid(
-                    [f"{path}:{lineno}: bad value {value!r} for {key}"]) from None
+            values[key] = _coerce(key, value, f"{path}:{lineno}")
     return values
 
 
 def build_config(args):
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    overrides = {
-        "protocol": args.protocol,
-        "node_count": args.nodes,
-        "pause_time": _parse_pause(args.pause) if args.pause is not None else None,
-        "seed": args.seed,
-        "sim_time": args.sim_time,
-        "mac_mode": args.mac,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values = load_config_file(args.config) if args.config else {}
+    for flag, key in _FLAGS.items():
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _coerce(key, text, flag)
     return ScenarioConfig(**values)
 
 
 def _add_common(parser):
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--protocol", choices=PROTOCOL_NAMES)
-    parser.add_argument("--nodes", type=int)
-    parser.add_argument("--pause", help="pause time in seconds, or 'static'")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--sim-time", type=float, dest="sim_time")
-    parser.add_argument("--mac", choices=MAC_MODES)
+    for flag, key in _FLAGS.items():
+        parser.add_argument(flag, dest=key, help=f"as {key} in a config file")
     parser.add_argument("--out", default="results", help="output directory")
 
 
-def _csv_list(text, cast):
-    return [cast(part) for part in text.split(",") if part]
+def _csv_list(text, key, flag):
+    return [_coerce(key, part, flag) for part in text.split(",") if part]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a usage error as a config error, so that it exits 1."""
+
+    def error(self, message):
+        raise ConfigInvalid([message])
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="manetsim",
         description="MANET routing protocol comparison simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -120,11 +115,10 @@ def main(argv=None):
     p_val = sub.add_parser("validate", help="check a configuration and exit")
     _add_common(p_val)
 
-    args = parser.parse_args(argv)
-    command = {"run": _cmd_run, "sweep": _cmd_sweep, "plotdata": _cmd_plotdata,
-               "validate": _cmd_validate}[args.command]
     try:
-        return command(args)
+        args = parser.parse_args(argv)
+        return {"run": _cmd_run, "sweep": _cmd_sweep, "plotdata": _cmd_plotdata,
+                "validate": _cmd_validate}[args.command](args)
     except ConfigInvalid as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)
@@ -133,7 +127,6 @@ def main(argv=None):
 
 def _cmd_run(args):
     config = build_config(args)
-    config.check()
     trace_path = os.path.join(args.out, "trace.csv") if args.trace else None
     move_path = os.path.join(args.out, "movement.csv") if args.move_trace else None
     record, _ = run_scenario(config, trace_path=trace_path,
@@ -141,8 +134,7 @@ def _cmd_run(args):
                              move_trace_interval=args.move_trace_interval)
     delay = "n/a" if record.avg_e2e_delay is None else f"{record.avg_e2e_delay:.6f} s"
     print(f"protocol={config.protocol} nodes={config.node_count} "
-          f"pause={'static' if config.pause_time == math.inf else config.pause_time} "
-          f"seed={config.seed}")
+          f"pause={_pause_label(config.pause_time)} seed={config.seed}")
     print(f"throughput={record.throughput:.2f} bit/s pdr={record.pdr:.4f}% "
           f"delay={delay} control_bytes={record.control_bytes} "
           f"sent={record.packets_sent} received={record.packets_received}")
@@ -151,8 +143,10 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     base = build_config(args)
-    spec = SweepSpec(_csv_list(args.protocols, str), _csv_list(args.node_counts, int),
-                     _csv_list(args.pauses, _parse_pause), args.seeds_per_cell)
+    spec = SweepSpec(_csv_list(args.protocols, "protocol", "--protocols"),
+                     _csv_list(args.node_counts, "node_count", "--node-counts"),
+                     _csv_list(args.pauses, "pause_time", "--pauses"),
+                     args.seeds_per_cell)
     progress = None if args.quiet else lambda line: print(line, flush=True)
     _rows, failures = run_sweep(spec, base, args.out,
                                 trace_cells=args.trace_cells, progress=progress)

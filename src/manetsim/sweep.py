@@ -7,6 +7,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from typing import List
 
@@ -162,12 +163,10 @@ def result_row(config, record):
     }
 
 
-def _fmt(value, metric):
+def _fmt(value, places):
     if value is None:
         return ""
-    if metric == "throughput":
-        return f"{value:.2f}"
-    return f"{value:.6f}"
+    return f"{value:.{places}f}"
 
 
 def _parse_protocol(text):
@@ -180,11 +179,14 @@ def _parse_metric(text):
     return float(text) if text else None
 
 
-# raw.csv's columns, in order, and how read_raw_csv parses each.
+# raw.csv's columns, in order, each with its printer and its parser.
 _RAW_COLUMNS = {
-    "protocol": _parse_protocol, "nodes": int, "pause": _parse_pause, "seed": int,
-    "throughput": _parse_metric, "pdr": _parse_metric, "delay": _parse_metric,
-    "control_bytes": int, "packets_sent": int, "packets_received": int,
+    "protocol": (str, _parse_protocol), "nodes": (str, int),
+    "pause": (_pause_label, _parse_pause), "seed": (str, int),
+    "throughput": (partial(_fmt, places=2), _parse_metric),
+    "pdr": (partial(_fmt, places=6), _parse_metric),
+    "delay": (partial(_fmt, places=6), _parse_metric),
+    "control_bytes": (str, int), "packets_sent": (str, int), "packets_received": (str, int),
 }
 
 
@@ -193,12 +195,7 @@ def write_raw_csv(rows, path):
         writer = csv.writer(fh)
         writer.writerow(_RAW_COLUMNS)
         for r in rows:
-            writer.writerow([
-                r["protocol"], r["nodes"], _pause_label(r["pause"]), r["seed"],
-                _fmt(r["throughput"], "throughput"), _fmt(r["pdr"], "pdr"),
-                _fmt(r["delay"], "delay"), r["control_bytes"],
-                r["packets_sent"], r["packets_received"],
-            ])
+            writer.writerow([fmt(r[name]) for name, (fmt, _) in _RAW_COLUMNS.items()])
 
 
 def read_raw_csv(path):
@@ -210,7 +207,7 @@ def read_raw_csv(path):
             raise ConfigInvalid([f"{path}: header is not {','.join(_RAW_COLUMNS)}"])
         for r in reader:
             row = {}
-            for name, parse in _RAW_COLUMNS.items():
+            for name, (_, parse) in _RAW_COLUMNS.items():
                 try:
                     row[name] = parse(r[name])
                 except ValueError:
@@ -249,7 +246,8 @@ def write_derived(rows, out_dir):
     columns = [(p, n) for p in protocols for n in node_counts]
     paths = []
     for metric in METRIC_NAMES:
-        means = {(p, n, pause): _fmt(cell_mean(rows, p, n, pause, metric), metric)
+        fmt = _RAW_COLUMNS[metric][0]
+        means = {(p, n, pause): fmt(cell_mean(rows, p, n, pause, metric))
                  for p, n in columns for pause in pauses}
         paths.append(os.path.join(out_dir, f"{metric}.csv"))
         with open(paths[-1], "w", newline="") as fh:

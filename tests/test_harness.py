@@ -388,6 +388,31 @@ def test_cli_validate_bad_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["validate", "--pause", "abc"], "--pause: bad value 'abc' for pause_time"),
+    (["validate", "--nodes", "abc"], "--nodes: bad value 'abc' for node_count"),
+    (["validate", "--seed", "1.5"], "--seed: bad value '1.5' for seed"),
+    (["validate", "--sim-time", "x"], "--sim-time: bad value 'x' for sim_time"),
+    (["validate", "--protocol", "aodv"], "protocol must be one of"),
+    (["validate", "--mac", "foo"], "mac_mode must be one of"),
+    (["validate", "--bogus"], "--bogus"),
+    (["sweep", "--node-counts", "x"], "--node-counts: bad value 'x' for node_count"),
+    (["sweep", "--pauses", "x"], "--pauses: bad value 'x' for pause_time"),
+    (["sweep", "--seeds-per-cell", "x"], "--seeds-per-cell")],
+    ids=["pause", "nodes", "seed", "sim-time", "protocol", "mac", "usage",
+         "node-counts", "pauses", "seeds-per-cell"])
+def test_cli_refuses_a_bad_flag_with_exit_1(tmp_path, capsys, argv, error):
+    """A malformed flag value, grid item or usage error is one config error
+    line and exit 1, as in a config file; exit 2 is for failed cells."""
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: ") and error in captured.err
+    assert not out.exists()
+
+
 def test_cli_run_prints_metrics(tmp_path, capsys):
     code = main(["run", "--protocol", "DSDV", "--nodes", "12", "--seed", "3",
                  "--sim-time", "12", "--mac", "ideal", "--pause", "static",

@@ -60,10 +60,6 @@ ALLOWED = {
     ("cli.py", "load_config_file"): (
         "the --config file, which the CI commands do not pass",
         HARNESS + "test_config_file_*"),
-    ("cli.py", "_coerce"): (
-        "types the values of a --config file", HARNESS + "test_config_file_parsing"),
-    ("cli.py", "build_config"): (
-        "reads a --config file", HARNESS + "test_cli_run_prints_metrics"),
     ("engine.py", "Simulator.schedule"): (
         "refuses an event in the past; benchmark/tracer.py also patches "
         "schedule(Event) by name (ROADMAP item 1)",
@@ -129,6 +125,9 @@ CLI_COMMANDS = [
     (["plotdata", "--out", "{out}/sweep"], 0),
     (["sweep", "--protocols", "aodv,AODV", "--node-counts", "20", "--pauses", "static",
       "--seeds-per-cell", "1", "--sim-time", "15", "--out", "{out}/case"], 1),
+    (["validate", "--nodes", "abc", "--out", "{out}/bad"], 1),
+    (["sweep", "--node-counts", "x", "--out", "{out}/bad"], 1),
+    (["validate", "--bogus", "--out", "{out}/bad"], 1),
 ]
 
 # Code objects that belong to the function around them.
